@@ -196,9 +196,9 @@ def _op_fraction(n: int):
         real_run(self, op, **extra)
         counters["ops"] += time.perf_counter() - t0
 
-    def timed_layer(self, ctxs):
+    def timed_layer(self, batch):
         t0 = time.perf_counter()
-        out = real_layer(self, ctxs)
+        out = real_layer(self, batch)
         counters["dp"] += time.perf_counter() - t0
         return out
 

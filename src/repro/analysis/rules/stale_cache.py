@@ -1,12 +1,14 @@
 """Rule ``stale-cache-invalidation``.
 
-**History.**  PR 4's incremental re-solve caches per-cluster payload plans
-(``Cluster._local_plan`` / ``Cluster._hole_plan``) and bakes tree payloads
-(``node_data`` / ``edge_data``) into them.  The stale-payload bug: a point
-update wrote ``node_data`` but kept serving plans baked from the *old*
-payload — silently wrong DP values, caught only by the differential fuzz
-harness.  The fix added ``Cluster.invalidate_payload_plans()`` and the rule
-that every payload mutator calls it.
+**History.**  PR 4's incremental re-solve cached per-cluster payload plans
+that baked tree payloads (``node_data`` / ``edge_data``) into them.  The
+stale-payload bug: a point update wrote ``node_data`` but kept serving plans
+baked from the *old* payload — silently wrong DP values, caught only by the
+differential fuzz harness.  The fix added ``invalidate_payload_plans()`` and
+the rule that every payload mutator calls it.  The baked inputs now live in
+the compiled layer plan's payload cache
+(``ClusteringPlan._node_inputs`` / ``ClusteringPlan._edge_infos``), which
+``HierarchicalClustering.invalidate_payload_plans()`` drops.
 
 **Check.**  Declarative cache contracts: each names the watched attributes,
 the mutation forms (attribute/subscript writes, mutating method calls,
@@ -72,17 +74,17 @@ CONTRACTS: Tuple[CacheContract, ...] = (
         owner="Tree",
         scope=("repro.dynamic", "repro.dp", "repro.mpc", "repro.core"),
         description=(
-            "tree payloads are baked into cluster local/hole plans; a "
-            "mutator that skips invalidate_payload_plans() serves plans from "
+            "tree payloads are baked into the layer plan's payload cache; a "
+            "mutator that skips invalidate_payload_plans() serves inputs from "
             "the old payload (PR 4 stale-payload class)"
         ),
     ),
     CacheContract(
-        attrs=frozenset({"_local_plan", "_hole_plan"}),
-        owner="Cluster",
+        attrs=frozenset({"_node_inputs", "_edge_infos"}),
+        owner="ClusteringPlan",
         scope=("repro",),
         description=(
-            "cluster payload-plan memos are owned by Cluster; writes from "
+            "the payload cache is owned by ClusteringPlan; writes from "
             "outside bypass the invalidation protocol"
         ),
     ),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.trees.tree import RootedTree
 
@@ -112,11 +112,10 @@ class Cluster:
     in_edge: Optional[Tuple[Hashable, Hashable]] = None
     hole_element: Optional[Element] = None
 
-    # Lazily built element-tree views.  The DP engine creates one
-    # ClusterContext per cluster per pass per problem; caching here is what
-    # lets solve_many amortize the traversal structure across all problems
-    # sharing one clustering.  Callers must treat the returned containers as
-    # read-only.
+    # Lazily built element-tree views, read by ClusterContext (the python
+    # reference backend and raw ClusterDPs); the dense backend reads the
+    # compiled layer plans instead.  Callers must treat the returned
+    # containers as read-only.
     _element_children: Optional[Dict[Element, List[Element]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -132,35 +131,6 @@ class Cluster:
     _postorder: Optional[List[Element]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Problem-independent local-solve plan built by ClusterContext.local_plan()
-    # (postorder entries with prefetched node inputs / edge infos), the
-    # hole-to-top element path (ClusterContext.hole_path()), and the ordered
-    # hole-path plan used by the layer-wide batched hole-path evaluation
-    # (ClusterContext.hole_plan(): one entry per path element, hole first,
-    # each tagged with the path child it absorbs).
-    _local_plan: Optional[List[Any]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _hole_path: Optional[frozenset] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _hole_plan: Optional[List[Any]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def invalidate_payload_plans(self) -> None:
-        """Drop the cached plans that prefetch node/edge *payloads*.
-
-        The local-solve and hole-path plans bake ``NodeInput``/``EdgeInfo``
-        objects (including the payloads read from the tree at build time)
-        into their entries.  A point update that edits a payload of a node or
-        edge owned by this cluster must call this so the next access rebuilds
-        the plans against the current tree data.  The purely structural
-        caches (children lists, postorder, hole path) are untouched — the
-        update model never changes the tree's shape.
-        """
-        self._local_plan = None
-        self._hole_plan = None
 
     def element_children(self) -> Dict[Element, List[Element]]:
         """Children lists of the element tree inside this cluster (cached)."""
@@ -266,9 +236,30 @@ class HierarchicalClustering:
     _boundary_dependents: Optional[Dict[Tuple[Hashable, Hashable], Tuple[int, ...]]] = (
         field(default=None, init=False, repr=False, compare=False)
     )
+    # The compiled DP layer plans (repro.dp.kernels.plan.ClusteringPlan):
+    # built on the first solve, shared by every problem and pass.
+    _dp_plan: Optional[Any] = field(default=None, init=False, repr=False, compare=False)
 
     def cluster(self, cid: int) -> Cluster:
         return self.clusters[cid]
+
+    def invalidate_payload_plans(
+        self,
+        nodes: Optional[Iterable[Hashable]] = None,
+        edges: Optional[Iterable[Tuple[Hashable, Hashable]]] = None,
+    ) -> None:
+        """Drop the compiled plan's cached payload inputs.
+
+        The DP plan caches one ``NodeInput`` per node and one ``EdgeInfo``
+        per edge, each baking the payload read from the tree when it was
+        built.  A point update that edits the payload of nodes ``nodes`` or
+        edges ``edges`` must call this so the next solve rebuilds exactly
+        those inputs; with neither argument every cached input is dropped
+        (for payloads mutated out of band).  The plan's structural arrays
+        are untouched — the update model never changes the tree's shape.
+        """
+        if self._dp_plan is not None:
+            self._dp_plan.invalidate_payload_plans(nodes, edges)
 
     @property
     def final_cluster(self) -> Cluster:

@@ -403,9 +403,9 @@ def solve(
     """One-shot convenience API: prepare the tree and solve one problem.
 
     Equivalent to ``solve_on(prepare(...), problem)``; see :func:`prepare`
-    for the shared parameters.  Use :func:`prepare` + :func:`solve_on` when
-    solving several problems on one tree (the clustering is reusable), and
-    :func:`solve_many` to also amortize the per-cluster traversal plans.
+    for the shared parameters.  Use :func:`prepare` + :func:`solve_on` (or
+    :func:`solve_many`) when solving several problems on one tree: the
+    clustering and its compiled layer plans are reused.
 
     Parameters
     ----------
@@ -492,11 +492,12 @@ def solve_many(
 ) -> Dict[str, PipelineResult]:
     """Solve several problems while reusing one clustering (paper §1.4).
 
-    Beyond sharing the clustering, repeated solves amortize the per-cluster
-    element-tree traversal: children lists, absorption order, postorder and
-    the hole-path plans are computed once per cluster and cached on the
-    :class:`~repro.clustering.model.Cluster` objects, so every problem (and
-    both DP passes) reuses them.
+    Beyond sharing the clustering, repeated solves share its compiled layer
+    plans (:mod:`repro.dp.kernels.plan`): the first solve compiles every
+    layer's element trees, absorption order, heights and hole paths into
+    arrays cached on the
+    :class:`~repro.clustering.model.HierarchicalClustering`, and every
+    later problem (and both DP passes) reuses them.
 
     The whole batch is validated up front — unsupported problem types raise
     *before* any solve runs, rather than crashing mid-batch with part of the
@@ -504,8 +505,8 @@ def solve_many(
     problem: a problem that cannot run on the dense backend (no
     ``acc_states``, exotic semiring) falls back to the scalar backend for
     that problem only, with a :class:`RuntimeWarning`, instead of aborting
-    the batch.  The cached traversal plans are backend-independent, so the
-    fallback never mixes plan state between the two paths.
+    the batch.  The compiled plans are problem- and backend-independent, so
+    the fallback never mixes plan state between the two paths.
 
     Parameters
     ----------

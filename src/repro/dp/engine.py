@@ -11,8 +11,10 @@ the engine
 Per layer, the data movement in the MPC model is: sort the (cluster id,
 element summary) records so every cluster's elements are co-located, run the
 per-cluster sequential computation locally, and route the new summaries back
-— a constant number of rounds.  The reproduction performs the per-cluster
-computations on the driver (they are local by construction) and charges
+— a constant number of rounds.  The reproduction hands each layer to the
+solver as one :class:`~repro.dp.kernels.plan.LayerBatch` over the
+clustering's compiled layer plan (the per-cluster computations are local by
+construction, so a whole layer is one batch) and charges
 ``ROUNDS_PER_LAYER`` rounds per layer and pass under the label ``"dp-pass"``,
 so benchmarks can verify that the number of DP rounds depends only on the
 number of layers (which is O(1)), not on ``n``.
@@ -21,9 +23,10 @@ number of layers (which is O(1)), not on ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clustering.model import Cluster, HierarchicalClustering
+from repro.dp.kernels.plan import ClusteringPlan, LayerBatch, clustering_plan
 from repro.dp.problem import ClusterContext, ClusterDP
 from repro.mpc.simulator import MPCSimulator
 from repro.obs import DEFAULT_SIZE_BUCKETS
@@ -102,7 +105,7 @@ class DPEngine:
         self.original_parent = original_parent or {}
         #: When False, :meth:`solve` never opens an exec-backend DP session
         #: (everything runs inline on the driver).  The incremental subsystem
-        #: clears this: its long-lived solver's memo state (trace memos,
+        #: clears this: its long-lived solver's memo state (backpointer arrays,
         #: rule-tensor caches) must be populated on the driver by the full
         #: solve, because every subsequent point update re-reads it there.
         self.exec_enabled = True
@@ -121,15 +124,39 @@ class DPEngine:
             original_parent=self.original_parent,
         )
 
+    def plan(self) -> ClusteringPlan:
+        """The clustering's compiled layer plans (compiled on the first solve)."""
+        return clustering_plan(self.hc, self.edge_kinds, self.aux_nodes, self.original_parent)
+
+    def layer_batch(
+        self, layer: int, cids: Optional[Iterable[int]], summaries: Mapping[int, Any]
+    ) -> LayerBatch:
+        """A :class:`LayerBatch` of ``cids`` (``None``: the whole layer)."""
+        sizer = self.sim.word_size if self.sim is not None else None
+        return self.plan().batch(layer, cids, summaries, sizer)
+
+    def boundary_labels(
+        self, batch: LayerBatch, edge_labels: Mapping[Any, Any], root_label: Any
+    ) -> Tuple[List[Any], List[Any]]:
+        """Out- and in-edge labels of the batch's clusters (``None``: no in-edge)."""
+        clusters = self.hc.clusters
+        final = self.hc.final_cluster_id
+        outs: List[Any] = []
+        ins: List[Any] = []
+        for cid in batch.cids:
+            c = clusters[cid]
+            outs.append(root_label if cid == final else edge_labels[c.out_edge])
+            ins.append(edge_labels[c.in_edge] if c.in_edge is not None else None)
+        return outs, ins
+
     def _charge(self, rounds: int, label: str = DP_PASS_LABEL) -> None:
         if self.sim is not None:
             self.sim.charge_rounds(rounds, label=label)
 
-    def _charge_words(self, payloads: Sequence[Any], label: str = DP_PASS_LABEL) -> None:
+    def _charge_words(self, words: int, label: str = DP_PASS_LABEL) -> None:
         """Charge the routed volume of one layer's summaries or labels."""
-        if self.sim is not None:
-            sizer = self.sim.word_size
-            self.sim.charge_words(sum(sizer(p) for p in payloads), label=label)
+        if self.sim is not None and words:
+            self.sim.charge_words(words, label=label)
 
     # ------------------------------------------------------------------ #
 
@@ -138,7 +165,7 @@ class DPEngine:
 
         Only the full solve distributes its layer batches: the incremental
         update path re-solves small cluster subsets where pool round-trips
-        cannot pay off, and its driver-side solver state (trace memos) must
+        cannot pay off, and its driver-side solver state (backpointer arrays) must
         stay authoritative.  The returned session, if any, must be closed.
         """
         if self.sim is None or not self.exec_enabled:
@@ -159,24 +186,24 @@ class DPEngine:
         self,
         problem: ClusterDP,
         summaries: Dict[int, Any],
-        clusters_by_layer: Dict[int, List[Cluster]],
+        cids_by_layer: Mapping[int, Optional[Sequence[int]]],
         label: str = DP_PASS_LABEL,
         session=None,
     ) -> int:
         """Bottom-up pass over the given clusters only (``summaries`` updated).
 
-        ``clusters_by_layer`` maps layer index → clusters of that layer to
-        (re-)summarize; every other cluster's entry in ``summaries`` is
-        reused as-is, which is what makes the incremental update path's
-        partial re-solve possible.  Layers are processed in ascending order
-        and each touched layer is handed to the solver as one batch (the
-        engine's parallel unit), exactly like the full pass; rounds and the
-        routed summary words are charged per listed layer under ``label``.
-        A listed layer with no clusters still charges its rounds (and zero
-        words) — the full solve lists every layer, including the empty ones
-        some trees produce, and its round count must stay identical to the
-        top-down pass's and to previous releases.  Returns the number of
-        rounds charged.
+        ``cids_by_layer`` maps layer index → ids of the clusters of that layer
+        to (re-)summarize (``None``: the whole layer); every other cluster's
+        entry in ``summaries`` is reused as-is, which is what makes the
+        incremental update path's partial re-solve possible.  Layers are
+        processed in ascending order and each touched layer is handed to the
+        solver as one :class:`LayerBatch` (the engine's parallel unit),
+        exactly like the full pass; rounds and the routed summary words are
+        charged per listed layer under ``label``.  A listed layer with no
+        clusters still charges its rounds (and zero words) — the full solve
+        lists every layer, including the empty ones some trees produce, and
+        its round count must stay identical to the top-down pass's and to
+        previous releases.  Returns the number of rounds charged.
 
         ``session`` is an open exec-backend DP session (see
         :meth:`_exec_session`): when given, each layer batch is evaluated on
@@ -186,38 +213,38 @@ class DPEngine:
         """
         obs = self.obs
         charged = 0
-        for layer in sorted(clusters_by_layer):
-            clusters = clusters_by_layer[layer]
+        for layer in sorted(cids_by_layer):
+            batch = self.layer_batch(layer, cids_by_layer[layer], summaries)
             with obs.trace(
                 "dp.layer",
                 dp_pass="bottom-up",
                 layer=layer,
-                clusters=len(clusters),
+                clusters=len(batch),
                 label=label,
             ):
-                if clusters:
+                words = 0
+                if len(batch):
                     if session is not None:
-                        results = session.solve_layer(clusters, summaries)
+                        results, words = session.solve_layer(batch)
                     else:
-                        ctxs = [self.context(cluster, summaries) for cluster in clusters]
-                        results = problem.summarize_layer(ctxs)
-                    for cluster, summary in zip(clusters, results):
-                        summaries[cluster.cid] = summary
+                        results, words = problem.summarize_layer(batch)
+                    summaries.update(zip(batch.cids, results))
                 self._charge(ROUNDS_PER_LAYER, label)
-                self._charge_words([summaries[c.cid] for c in clusters], label)
+                self._charge_words(words, label)
             if obs.enabled:
                 obs.metrics.counter("repro_dp_layers_total", dp_pass="bottom-up").inc()
                 obs.metrics.histogram(
                     "repro_dp_layer_batch_clusters",
                     DEFAULT_SIZE_BUCKETS,
                     dp_pass="bottom-up",
-                ).observe(len(clusters))
+                ).observe(len(batch))
             charged += ROUNDS_PER_LAYER
         return charged
 
     def solve(self, problem: ClusterDP) -> SolveResult:
         """Run the bottom-up and top-down passes for ``problem``."""
         summaries: Dict[int, Any] = {}
+        self.plan()  # compiled before an exec session ships the clustering
         session = self._exec_session(problem)
         try:
             return self._solve(problem, summaries, session)
@@ -253,7 +280,7 @@ class DPEngine:
         charged = self.summarize_clusters(
             problem,
             summaries,
-            {layer: hc.clusters_at_layer(layer) for layer in range(1, hc.num_layers + 1)},
+            dict.fromkeys(range(1, hc.num_layers + 1)),
             session=session,
         )
 
@@ -268,47 +295,29 @@ class DPEngine:
         if problem.produces_labels:
             # The virtual root edge is labeled first.  A cluster's boundary
             # labels are written by strictly higher layers, so each layer is
-            # one independent batch — inline it runs cluster by cluster; under
-            # an exec session the batch is labelled on the workers that
-            # summarised the clusters (their trace memos are local).
+            # one independent batch — inline it runs on the driver; under an
+            # exec session the batch is labelled on the workers that
+            # summarised the clusters (their backpointers are local).
             obs = self.obs
             for layer in range(hc.num_layers, 0, -1):
-                items: List[Tuple[Cluster, Any, Any]] = []
-                for cluster in hc.clusters_at_layer(layer):
-                    if cluster.cid == hc.final_cluster_id:
-                        out_label = root_label
-                    else:
-                        out_label = edge_labels[cluster.out_edge]
-                    in_label = (
-                        edge_labels[cluster.in_edge] if cluster.in_edge is not None else None
-                    )
-                    items.append((cluster, out_label, in_label))
+                batch = self.layer_batch(layer, None, summaries)
                 with obs.trace(
                     "dp.layer",
                     dp_pass="top-down",
                     layer=layer,
-                    clusters=len(items),
+                    clusters=len(batch),
                     label=DP_PASS_LABEL,
                 ):
-                    labels_by_cid = (
-                        session.label_layer(items, summaries)
-                        if session is not None and items
-                        else None
-                    )
-                    layer_labels: List[Any] = []
-                    for cluster, out_label, in_label in items:
-                        if labels_by_cid is not None:
-                            labels = labels_by_cid[cluster.cid]
+                    words = 0
+                    if len(batch):
+                        outs, ins = self.boundary_labels(batch, edge_labels, root_label)
+                        if session is not None:
+                            labels, words = session.label_layer(batch, outs, ins)
                         else:
-                            ctx = self.context(cluster, summaries)
-                            labels = problem.assign_internal_labels(
-                                ctx, out_label, in_label
-                            )
-                        for child_e, _parent_e, edge in cluster.internal_edges:
-                            edge_labels[edge] = labels[child_e]
-                            layer_labels.append(labels[child_e])
+                            labels, words = problem.label_layer(batch, outs, ins)
+                        edge_labels.update(zip(batch.edges, labels))
                     self._charge(ROUNDS_PER_LAYER)
-                    self._charge_words(layer_labels)
+                    self._charge_words(words)
                 if obs.enabled:
                     obs.metrics.counter(
                         "repro_dp_layers_total", dp_pass="top-down"
@@ -317,7 +326,7 @@ class DPEngine:
                         "repro_dp_layer_batch_clusters",
                         DEFAULT_SIZE_BUCKETS,
                         dp_pass="top-down",
-                    ).observe(len(items))
+                    ).observe(len(batch))
                 charged += ROUNDS_PER_LAYER
 
             for (child, _parent), lab in edge_labels.items():

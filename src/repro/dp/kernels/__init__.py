@@ -16,11 +16,15 @@ arrays indexed by state id:
   transition tensors ``T[acc, child_state, acc']`` and finalize matrices
   ``F[acc, state]`` enumerated once from a :class:`~repro.dp.problem.FiniteStateDP`
   and cached under problem-provided keys.
-* :class:`~repro.dp.kernels.dense_local.DenseClusterKernel` — the batched
-  per-cluster solver: one element-tree traversal computes the summary of an
-  indegree-one cluster for *all* hole states at once (the scalar path walks
-  the element tree once per hole state), and arg-reductions recover the
-  labels of the top-down pass.
+* :mod:`~repro.dp.kernels.plan` — the problem-independent, struct-of-arrays
+  compile of every cluster layer (:class:`~repro.dp.kernels.plan.LayerPlan`),
+  built once per clustering and handed to solvers as row selections
+  (:class:`~repro.dp.kernels.plan.LayerBatch`).
+* :class:`~repro.dp.kernels.dense_local.DenseClusterKernel` — the layer
+  solver: both DP passes of a whole batch as per-level array programs, with
+  every hole state of an indegree-one cluster carried at once (the scalar
+  path walks the element tree once per hole state) and backpointers kept in
+  per-layer arrays for the top-down pass.
 
 Tie-breaking is canonical (state-id order) in both the dense kernels and the
 scalar fallback, and float operations associate identically, so the two

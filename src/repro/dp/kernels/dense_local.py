@@ -1,38 +1,32 @@
-"""Hole-batched, layer-scheduled dense per-cluster solver (the hot path).
+"""Layer-native dense solver: both DP passes as per-level array programs.
 
 Mirrors the scalar :class:`~repro.dp.local_solver.FiniteStateClusterSolver`
-element-tree walk, with four structural speedups:
+element-tree walk over a whole layer batch at once — all of a layer's
+clusters, or a row selection of them (a pool slot's clusters, an update
+batch's dirty clusters) — reading the structure from the compiled
+:class:`~repro.dp.kernels.plan.LayerPlan`:
 
-* **Hole batching.**  The scalar path summarises an indegree-one cluster by
-  walking its element tree once per hole state.  Here every element carries a
-  table of shape ``(H, S)`` — one row per hole state — and a single walk
-  produces the full (top state × below state) summary matrix.  Elements whose
-  subtree does not contain the hole carry a broadcastable ``(1, S)`` row.
+* **Hole batching.**  Every element on the hole path of an indegree-one
+  cluster carries one table row per hole state (``H = S`` rows), so one pass
+  produces the full (top state × below state) summary matrix; elements off
+  the hole paths carry a single row.  Rows are flat per layer — an element
+  owns one or ``H`` consecutive rows of the layer's table — so off-path
+  elements are never padded to the hole batch.
 * **Batched semiring steps.**  Absorbing one child is one broadcast +
-  reduction over a ``(H, A, S, A')`` candidate array instead of three nested
-  Python loops; arg-reductions over the flattened ``(A * S)`` axis recover
-  backpointers, and their first-minimum tie-break equals the scalar path's
-  first-wins merge over the same (acc-major, child-state-minor) order.
-* **Single traversal per problem.**  Backpointers are recorded *during* the
-  bottom-up pass (per hole row), so the top-down pass only walks the stored
-  traces instead of re-running the local solve per cluster, as the scalar
-  path does.
-* **Level scheduling across the layer.**  The engine hands the solver one
-  whole layer of clusters at a time (its parallel unit); all node elements
-  off the hole paths are grouped by element-tree height and by structural
-  signature (transition/finalize cache keys), and each group is solved as
-  one stacked array program — thousands of per-node table builds become a
-  handful of broadcasts per layer.
-* **Layer-wide hole paths.**  The per-cluster hole-path walks are batched
-  the same way: the ``(H, S)`` hole tables of all indegree-one clusters in
-  a layer are stacked into one ``(C, H, S)`` tensor, path elements are
-  grouped by (depth along the path, rule signature) — depth plays the role
-  height plays off the paths — and each group runs through the semiring
-  kernels as one ``(C, H, ...)`` array program, with traces recorded per
-  cluster row so the top-down labeling pass is unchanged.  Affine rule
-  decompositions (finalize *and* transition) let nodes whose rules differ
-  only in a weight vector share one group: their tables are composed as
-  ``base + Σ_k w_k * mask_k`` from per-structural-key probe tensors.
+  reduction over a ``(n, h, A, S, A')`` candidate array; arg-reductions over
+  the flattened ``(A * S)`` axis recover backpointers, and their
+  first-optimum tie-break equals the scalar path's first-wins merge over the
+  same (acc-major, child-state-minor) order.  Floats associate as
+  ``acc ⊗ (child ⊗ T)``, exactly like the scalar ``times(a, times(c, t))``.
+* **Level scheduling.**  Off-path elements are grouped by element-tree
+  height and by rule signature (the problem's cache keys), hole-path
+  elements by depth along the path, the on-path child slot and signature;
+  each group is one stacked kernel call that gathers its child rows by
+  index.  Affine rule decompositions let nodes whose rules differ only in a
+  weight vector share a group (``base + Σ_k w_k * mask_k``).
+* **Array top-down.**  Backpointers are written during the bottom-up pass
+  into per-layer arrays; the labeling pass walks the batch one height level
+  at a time, from the top elements down, with array gathers.
 
 Summaries are ``{"kind": "vec"|"mat", "dense": ndarray}``; ``vec`` is a
 ``(S,)`` vector over top-node states, ``mat`` a ``(S, S)`` matrix over (top
@@ -44,44 +38,69 @@ to equal dicts.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.clustering.model import Element
+from repro.dp.kernels.plan import (
+    HOLE_CHILD,
+    LEAF,
+    MAT,
+    NODE,
+    ClusteringPlan,
+    LayerBatch,
+    LayerPlan,
+)
 from repro.dp.kernels.semiring_kernels import SemiringKernel, kernel_for
 from repro.dp.kernels.statespace import StateSpace, encode_mat, encode_vec
 from repro.dp.kernels.tensors import ProblemTensors
-from repro.dp.problem import ClusterContext, FiniteStateDP
+from repro.dp.problem import EdgeInfo, FiniteStateDP, NodeInput
 
-__all__ = ["DenseClusterKernel", "HOLE"]
+__all__ = ["DenseClusterKernel"]
 
-#: Sentinel for the hole pseudo-child (the subtree below the incoming edge).
-HOLE: Element = ("hole", None)
+#: Backpointer dtype: flat (acc, child-state) ids and state ids are small.
+_BP = np.int32
+
+Sizer = Callable[[Any], int]
 
 
-class _Trace:
-    """Per-element backpointers of one bottom-up solve (one row per hole state)."""
+class _LayerStore:
+    """One problem's bottom-up state of one layer: tables and backpointers.
 
-    __slots__ = ("kind", "children", "steps", "fin", "child", "bp", "vec")
+    ``vals[rbase[e] + r]`` is element ``e``'s table row ``r`` (``r`` = hole
+    state on a hole path, else 0); ``bp`` holds, per row, the finalize
+    choice (node elements) or the below state (indegree-one sub-cluster
+    elements); ``steps[sbase[k] + r]`` the flat (acc, child state) choice of
+    child slot ``k``.  Sized by the layer plan once, so the store cannot
+    grow; batches overwrite their clusters' rows and mark them ``valid``.
+    """
 
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.children: Tuple[Tuple[Element, Any], ...] = ()
-        self.steps: List[np.ndarray] = []      # per absorbed child: (h, A) flat (a*S+s) ids
-        self.fin: Optional[np.ndarray] = None  # (h, S) acc ids
-        self.child: Optional[Element] = None   # mat elements: the single child (HOLE: hole)
-        self.bp: Optional[np.ndarray] = None   # mat elements: (h, S) below-state ids
-        self.vec: Optional[np.ndarray] = None  # (h, S) final values (feasibility checks)
+    __slots__ = ("rbase", "vals", "bp", "sbase", "steps", "valid")
 
-    def row(self, arr: np.ndarray, h: int) -> np.ndarray:
-        """Row ``h`` of a trace array (row 0 for off-hole-path broadcasts)."""
-        return arr[h if arr.shape[0] > 1 else 0]
+    def __init__(
+        self, lp: LayerPlan, H: int, S: int, A: int, dtype: np.dtype, selective: bool
+    ) -> None:
+        nrows = np.where(lp.depth >= 0, H, 1)
+        self.rbase = np.cumsum(nrows) - nrows
+        R = int(nrows.sum())
+        self.vals = np.empty((R, S), dtype=dtype)
+        self.valid = np.zeros(lp.num_clusters, dtype=bool)
+        srows = nrows[lp.slot_parent]
+        self.sbase = np.cumsum(srows) - srows
+        if selective:
+            self.bp = np.empty((R, S), dtype=_BP)
+            self.steps = np.empty((int(srows.sum()), A), dtype=_BP)
+        else:
+            self.bp = np.empty((0, S), dtype=_BP)
+            self.steps = np.empty((0, A), dtype=_BP)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.vals.nbytes + self.bp.nbytes + self.steps.nbytes)
 
 
 class DenseClusterKernel:
-    """Dense implementation of the three per-cluster operations."""
+    """Dense implementation of the layer-batch operations of one problem."""
 
     def __init__(self, problem: FiniteStateDP) -> None:
         kernel = kernel_for(problem.semiring)
@@ -100,100 +119,51 @@ class DenseClusterKernel:
         # Hoisted hook-override flags (hot in _node_signature).
         self._trans_affine = self.tensors.has_transition_affine
         self._fin_affine = self.tensors.has_finalize_affine
-        # Hole pseudo-child tables: all hole states at once (batched summarize
-        # of indegree-one clusters) resp. one row per fixed hole state.
+        # The hole pseudo-child's table: row h is the identity vector of
+        # hole state h, so one pass covers every hole state.
         S = len(self.sspace)
         eye = self.kernel.full((S, S))
         np.fill_diagonal(eye, self.kernel.one)
         self._hole_batch = eye
-        self._hole_rows = [eye[h : h + 1] for h in range(S)]
-        #: Backpointers recorded by summarize, keyed by cluster id; consumed
-        #: by assign_internal_labels during the top-down pass.
-        #:
-        #: This memo is deliberately *persistent* across solves: it is the
-        #: per-cluster bottom-up state the incremental update path
-        #: (:mod:`repro.dynamic`) relies on.  A partial re-solve overwrites
-        #: exactly the re-summarized clusters' traces, so a later top-down
-        #: visit of an *untouched* cluster (re-labeled only because a
-        #: boundary label changed) replays the traces of the solve that last
-        #: computed it — which is still consistent, because a cluster is only
-        #: skipped by the partial bottom-up when neither its payloads nor its
-        #: element summaries changed.  Droppable via :meth:`forget_traces`,
-        #: and boundable via :meth:`set_cache_limits`: evicting a trace is
-        #: always safe because :meth:`assign_internal_labels` transparently
-        #: re-runs the local solve for a missing cluster.
-        self._traces: "OrderedDict[int, Dict[Element, Optional[_Trace]]]" = OrderedDict()
-        self._trace_entries: Optional[int] = None
-        #: Traces dropped by the LRU bound (soak-test observability).
-        self.trace_evictions: int = 0
-        #: Top-down trace-memo lookups served from / missing in the memo
-        #: (a miss transparently re-runs the cluster's local solve).
+        self._hrange = np.arange(S, dtype=np.int64)
+        self._states = np.empty(S, dtype=object)
+        for i, state in enumerate(self.sspace.states):
+            self._states[i] = state
+        #: Per-layer bottom-up state (tables + backpointers) of the plan the
+        #: last batch came from.  Persistent across solves on purpose: the
+        #: incremental update path re-solves a few clusters' rows and later
+        #: relabels untouched clusters from the rows the last solve wrote,
+        #: which stay consistent because a cluster is only skipped by the
+        #: partial bottom-up when neither its payloads nor its element
+        #: summaries changed.
+        self._plan: Optional[ClusteringPlan] = None
+        self._stores: Dict[int, _LayerStore] = {}
+        self._costs: Dict[Sizer, Tuple[int, int, np.ndarray]] = {}
+        #: Clusters labeled from stored backpointers / after re-running
+        #: their bottom-up rows (a pool worker respawned mid-solve).
         self.trace_hits: int = 0
         self.trace_misses: int = 0
 
     # ------------------------------------------------------------------ #
-    # ClusterDP operations
+    # Caches and observability
     # ------------------------------------------------------------------ #
 
-    def summarize(self, ctx: ClusterContext) -> Any:
-        return self._summarize_one(ctx, {}, {})
-
-    def has_trace(self, cid: int) -> bool:
-        """Whether the bottom-up memo still holds cluster ``cid``'s traces."""
-        return cid in self._traces
-
-    def forget_traces(self, cids: Optional[Iterable[int]] = None) -> None:
-        """Drop the bottom-up trace memo (all clusters, or just ``cids``).
-
-        Frees the per-cluster backpointer arrays; a later
-        :meth:`assign_internal_labels` on a forgotten cluster transparently
-        re-runs its local solve against the current tree payloads.
-        """
-        if cids is None:
-            self._traces.clear()
-        else:
-            for cid in cids:
-                self._traces.pop(cid, None)
-
-    def set_cache_limits(
-        self,
-        *,
-        value_entries: Optional[int] = None,
-        trace_entries: Optional[int] = None,
-    ) -> None:
-        """Bound the kernel's growth-prone caches (``None`` = leave as is).
-
-        ``value_entries`` re-bounds the payload-value-keyed rule caches on
-        :attr:`tensors`; ``trace_entries`` bounds the bottom-up trace memo,
-        evicting least-recently-labeled clusters immediately if it shrank.
-        The trace memo is naturally bounded by the clustering's cluster
-        count, so the bound only matters for servers hosting large trees
-        whose label queries touch a small working set.
-        """
-        if value_entries is not None:
-            self.tensors.set_value_cache_entries(value_entries)
-        if trace_entries is not None:
-            if trace_entries < 1:
-                raise ValueError(f"trace_entries must be >= 1, got {trace_entries}")
-            self._trace_entries = trace_entries
-            while len(self._traces) > trace_entries:
-                self._traces.popitem(last=False)
-                self.trace_evictions += 1
+    def trace_store_bytes(self) -> int:
+        """Bytes held by the per-layer tables and backpointers."""
+        return sum(st.nbytes for st in self._stores.values())
 
     def cache_stats(self) -> Dict[str, int]:
         """Flat cache-behaviour counters for the observability gauges.
 
-        Covers the trace memo (hits/misses/evictions/entries), the
-        payload-value-keyed rule caches on :attr:`tensors`, and the tensor
-        enumeration/recompose counters — everything a capacity or serving
-        soak needs to see about this kernel's caching.
+        Covers the backpointer store (size, hits/misses), the payload-value
+        keyed rule caches on :attr:`tensors`, and the tensor
+        enumeration/recompose counters.
         """
         t = self.tensors
         out: Dict[str, int] = {
-            "trace_entries": len(self._traces),
+            "trace_bytes": self.trace_store_bytes(),
             "trace_hits": self.trace_hits,
             "trace_misses": self.trace_misses,
-            "trace_evictions": self.trace_evictions,
             "value_entries": sum(t.value_cache_sizes().values()),
             "value_hits": t.value_cache_hits(),
             "value_misses": t.value_cache_misses(),
@@ -202,49 +172,51 @@ class DenseClusterKernel:
         out.update(t.stats)
         return out
 
-    def _store_traces(self, cid: int, traces: Dict[Element, Optional[_Trace]]) -> None:
-        data = self._traces
-        if cid in data:
-            del data[cid]  # re-insert at the most-recently-used end
-        data[cid] = traces
-        if self._trace_entries is not None:
-            while len(data) > self._trace_entries:
-                data.popitem(last=False)
-                self.trace_evictions += 1
+    def _store(self, batch: LayerBatch) -> _LayerStore:
+        if self._plan is not batch.plan:
+            self._plan = batch.plan
+            self._stores = {}
+        lp = batch.layer
+        st = self._stores.get(lp.layer)
+        if st is None:
+            S = len(self.sspace)
+            st = _LayerStore(lp, S, S, len(self.aspace), self.kernel.dtype, self.selective)
+            self._stores[lp.layer] = st
+        return st
 
-    def summarize_layer(self, ctxs: List[ClusterContext]) -> List[Any]:
-        """Layer batch: level-schedule the node elements across all clusters.
+    def _word_costs(self, sizer: Sizer) -> Tuple[int, int, np.ndarray]:
+        """Words of one vec summary, one mat summary, and of each state label."""
+        costs = self._costs.get(sizer)
+        if costs is None:
+            S = len(self.sspace)
+            costs = (
+                int(sizer({"kind": "vec", "dense": self.kernel.full(S)})),
+                int(sizer({"kind": "mat", "dense": self.kernel.full((S, S))})),
+                np.array([sizer(s) for s in self.sspace.states], dtype=np.int64),
+            )
+            self._costs[sizer] = costs
+        return costs
 
-        All elements of one height (with the levels below them done) are
-        mutually independent across the whole layer, so each height is
-        solved as a few stacked array programs — grouped by structural
-        signature — instead of thousands of per-node ones.  Elements on a
-        hole path and elements whose rules have no cache key fall back to
-        the per-cluster walk, which picks up whatever the scheduler left.
-        """
-        tables, traces = self._schedule_levels(ctxs)
-        return [
-            self._summarize_one(ctx, tables[i], traces[i]) for i, ctx in enumerate(ctxs)
-        ]
+    # ------------------------------------------------------------------ #
+    # Layer operations
+    # ------------------------------------------------------------------ #
 
-    def _summarize_one(
-        self,
-        ctx: ClusterContext,
-        tables: Dict[Element, np.ndarray],
-        traces: Dict[Element, Optional[_Trace]],
-    ) -> Any:
-        if ctx.is_indegree_one:
-            tables, traces = self._local_tables(ctx, self._hole_batch, tables, traces)
-            if self.selective:
-                self._store_traces(ctx.cluster.cid, traces)
-            # tables[top][h, a]: top state a with hole state h -> mat[a, b=h].
-            return {"kind": "mat", "dense": np.ascontiguousarray(tables[ctx.top_element].T)}
-        tables, traces = self._local_tables(ctx, None, tables, traces)
-        if self.selective:
-            self._store_traces(ctx.cluster.cid, traces)
-        return {"kind": "vec", "dense": tables[ctx.top_element].reshape(-1)}
+    def summarize_layer(self, batch: LayerBatch) -> Tuple[List[Any], int]:
+        """Summaries of the batch's clusters (row order) and their words."""
+        st = self._store(batch)
+        self._bottom_up(batch, st)
+        st.valid[batch.rows] = True
+        return self._summaries(batch, st), self.summary_words(batch)
 
-    def label_virtual_root(self, ctx: ClusterContext, summary: Any) -> Tuple[Any, Any]:
+    def summary_words(self, batch: LayerBatch) -> int:
+        """Routed words of the batch's summaries, from their shapes."""
+        if batch.sizer is None:
+            return 0
+        w_vec, w_mat, _ = self._word_costs(batch.sizer)
+        n_mat = int(np.count_nonzero(batch.layer.hole[batch.rows] >= 0))
+        return n_mat * w_mat + (len(batch.rows) - n_mat) * w_vec
+
+    def label_virtual_root(self, summary: Any) -> Tuple[Any, Any]:
         vec = self._dense_vec(summary)
         totals = self.kernel.combine(vec, self.tensors.virtual_root_vec())
         if self.selective:
@@ -255,453 +227,232 @@ class DenseClusterKernel:
             return self.sspace.decode(idx), val.item()
         return None, self.kernel.reduce(totals, axis=0).item()
 
-    def assign_internal_labels(
-        self, ctx: ClusterContext, out_label: Any, in_label: Any
-    ) -> Dict[Element, Any]:
-        traces = self._traces.get(ctx.cluster.cid)
-        if traces is not None:
-            self.trace_hits += 1
-            if self._trace_entries is not None:
-                self._traces.move_to_end(ctx.cluster.cid)
-        else:
-            self.trace_misses += 1
-        if traces is None:
-            # assign without a prior summarize (not reachable through the
-            # engine, which always runs the bottom-up pass first).
-            hole_table = (
-                self._hole_rows[self.sspace.encode(in_label)] if in_label is not None else None
-            )
-            _, traces = self._local_tables(ctx, hole_table, {}, {})
-        h = self.sspace.encode(in_label) if in_label is not None else 0
+    def label_layer(
+        self, batch: LayerBatch, out_labels: Sequence[Any], in_labels: Sequence[Any]
+    ) -> Tuple[List[Any], int]:
+        """Labels of the batch's internal edges (``batch.edges`` order) and words.
 
-        state_of: Dict[Element, Hashable] = {ctx.top_element: out_label}
-        stack = [ctx.top_element]
-        S = len(self.sspace)
-        decode = self.sspace.states
-        while stack:
-            e = stack.pop()
-            trace = traces[e]
-            if trace is None:
-                continue  # leaf sub-cluster: no internal children here
-            s_idx = self.sspace.index[state_of[e]]
-            if trace.row(trace.vec, h)[s_idx] == self.kernel.zero:
-                raise RuntimeError(
-                    f"inconsistent traceback: state {state_of[e]!r} unreachable at element {e!r}"
-                )
-            if trace.kind == "node":
-                acc_idx = int(trace.row(trace.fin, h)[s_idx])
-                for j in range(len(trace.children) - 1, -1, -1):
-                    child_elem, _edge = trace.children[j]
-                    flat = int(trace.row(trace.steps[j], h)[acc_idx])
-                    acc_idx, child_idx = divmod(flat, S)
-                    if child_elem != HOLE:
-                        state_of[child_elem] = decode[child_idx]
-                        stack.append(child_elem)
-            else:  # mat element
-                if trace.child != HOLE:
-                    state_of[trace.child] = decode[int(trace.row(trace.bp, h)[s_idx])]
-                    stack.append(trace.child)
-
-        return {e: s for e, s in state_of.items() if e != ctx.top_element}
-
-    # ------------------------------------------------------------------ #
-    # Level scheduler (cross-cluster batching within one layer)
-    # ------------------------------------------------------------------ #
-
-    def _schedule_levels(
-        self, ctxs: List[ClusterContext]
-    ) -> Tuple[List[Dict[Element, np.ndarray]], List[Dict[Element, Optional[_Trace]]]]:
-        """Tables/traces (lists aligned with ``ctxs``) for batchable elements."""
-        tables: List[Dict[Element, np.ndarray]] = [{} for _ in ctxs]
-        traces: List[Dict[Element, Optional[_Trace]]] = [{} for _ in ctxs]
-        # levels[h] = (mats, singles, groups).  Everything at height h only
-        # depends on heights < h, so processing levels in order keeps every
-        # dependency satisfied; within a level, entries are independent.
-        levels: Dict[int, Tuple[list, list, Dict[Any, list]]] = {}
-
-        for i, ctx in enumerate(ctxs):
-            hole_path = ctx.hole_path() if ctx.is_indegree_one else frozenset()
-            for kind, e, payload, h in ctx.local_plan():
-                if e in hole_path:
-                    continue  # hole-batched rows: the depth scheduler below
-                if kind == "leaf":
-                    tables[i][e] = self._dense_vec(ctx.summary_of(e)).reshape(1, -1)
-                    traces[i][e] = None
-                    continue
-                level = levels.get(h)
-                if level is None:
-                    level = ([], [], {})
-                    levels[h] = level
-                if kind == "mat":
-                    level[0].append((i, ctx, e, payload))
-                    continue
-                inp, children = payload
-                sig, aff = self._node_signature(inp, children)
-                if sig is None:
-                    level[1].append((i, e, inp, children))  # uncacheable rules
-                else:
-                    level[2].setdefault(sig, []).append((i, e, inp, children, aff))
-
-        for h in sorted(levels):
-            mats, singles, groups = levels[h]
-            for i, ctx, e, child in mats:
-                vec, trace = self._mat_once(ctx, e, child, None, tables[i])
-                tables[i][e] = vec
-                traces[i][e] = trace
-            for i, e, inp, children in singles:
-                tables[i][e], traces[i][e] = self._node_once(
-                    inp, children, None, None, tables[i]
-                )
-            for sig, members in groups.items():
-                if len(members) == 1:
-                    # The stacked program has more fixed overhead than the
-                    # per-node path; fragmented key spaces go straight there.
-                    i, e, inp, children, _aff = members[0]
-                    tables[i][e], traces[i][e] = self._node_once(
-                        inp, children, None, None, tables[i]
-                    )
-                else:
-                    self._solve_group(sig, members, tables, traces)
-
-        self._schedule_hole_paths(ctxs, tables, traces)
-        return tables, traces
-
-    def _schedule_hole_paths(
-        self,
-        ctxs: List[ClusterContext],
-        tables: List[Dict[Element, np.ndarray]],
-        traces: List[Dict[Element, Optional[_Trace]]],
-    ) -> None:
-        """Batch the hole-path elements of the layer's indegree-one clusters.
-
-        All off-path tables are already in place, so a path element only
-        waits for the previous element of its own path: entries of equal
-        *depth along the path* are mutually independent across the whole
-        layer and are grouped like the off-path levels — stacked mat solves
-        for sub-cluster elements, signature groups for node elements — with
-        every row of the stacked ``(C, H, ...)`` arrays carrying one
-        cluster's full hole batch.
+        Walks the batch's elements one height level at a time from the top
+        elements down, replaying the stored backpointers with array gathers.
+        Rows whose backpointers this kernel does not hold (a pool worker
+        respawned after the bottom-up pass) are re-solved first.
         """
-        paths = [
-            (i, ctx, ctx.hole_plan()) for i, ctx in enumerate(ctxs) if ctx.is_indegree_one
-        ]
-        if not paths:
-            return
-        for depth in range(max(len(plan) for _i, _ctx, plan in paths)):
-            mats: list = []
-            singles: list = []
-            groups: Dict[Any, list] = {}
-            for i, ctx, plan in paths:
-                if depth >= len(plan):
-                    continue
-                kind, e, payload, path_child = plan[depth]
-                if kind == "mat":
-                    # payload is the single child element; None when the hole
-                    # attaches here (then path_child is None too: depth 0).
-                    mats.append((i, ctx, e, payload))
-                    continue
-                inp, children = payload
-                if path_child is None:
-                    # The hole element: the hole pseudo-child is absorbed
-                    # last, through the incoming edge (as in _node_once).
-                    children = children + ((HOLE, ctx.in_edge),)
-                    path_idx = len(children) - 1
-                else:
-                    path_idx = next(
-                        j for j, (c, _edge) in enumerate(children) if c == path_child
-                    )
-                sig, aff = self._node_signature(inp, children)
-                if sig is None:
-                    singles.append((i, e, inp, children))
-                else:
-                    # path_idx keys which absorption step carries the (H, S)
-                    # hole rows, so stacked row shapes agree within a group.
-                    groups.setdefault((path_idx, sig), []).append(
-                        (i, e, inp, children, aff)
-                    )
-            if len(mats) == 1:
-                i, ctx, e, child = mats[0]
-                hole = self._hole_batch if child is None else None
-                tables[i][e], traces[i][e] = self._mat_once(ctx, e, child, hole, tables[i])
-            elif mats:
-                self._solve_mat_group(mats, tables, traces)
-            for i, e, inp, children in singles:
-                tables[i][e], traces[i][e] = self._node_with_hole(inp, children, tables[i])
-            for (_path_idx, sig), members in groups.items():
-                if len(members) == 1:
-                    i, e, inp, children, _aff = members[0]
-                    tables[i][e], traces[i][e] = self._node_with_hole(
-                        inp, children, tables[i]
-                    )
-                else:
-                    self._solve_group(sig, members, tables, traces)
+        st = self._store(batch)
+        lp = batch.layer
+        rows = batch.rows
+        stale = ~st.valid[rows]
+        n_stale = int(np.count_nonzero(stale))
+        if n_stale:
+            sub = batch.select(rows[stale])
+            self._bottom_up(sub, st)
+            st.valid[sub.rows] = True
+        self.trace_misses += n_stale
+        self.trace_hits += len(rows) - n_stale
 
-    def _node_with_hole(
-        self,
-        inp: Any,
-        children: Tuple[Tuple[Element, Any], ...],
-        tables: Dict[Element, np.ndarray],
-    ) -> Tuple[np.ndarray, Optional[_Trace]]:
-        """Per-element solve for a hole-path node (children may end in HOLE)."""
-        if children and children[-1][0] == HOLE:
-            return self._node_once(
-                inp, children[:-1], self._hole_batch, children[-1][1], tables
-            )
-        return self._node_once(inp, children, None, None, tables)
+        index = self.sspace.index
+        out_idx = np.fromiter((index[lab] for lab in out_labels), np.int64, len(rows))
+        in_idx = np.fromiter(
+            (0 if lab is None else index[lab] for lab in in_labels), np.int64, len(rows)
+        )
+        el = batch.elements
+        counts = lp.elem_ptr[rows + 1] - lp.elem_ptr[rows]
+        hrow = np.where(lp.depth[el] >= 0, np.repeat(in_idx, counts), 0)
+        state = np.empty(lp.num_elements, dtype=np.int64)
+        state[lp.top[rows]] = out_idx
 
-    def _solve_mat_group(
+        height = lp.height[el]
+        order = np.argsort(-height, kind="stable")
+        cuts = np.flatnonzero(np.diff(height[order])) + 1
+        zero = self.kernel.zero
+        for q in np.split(order, cuts):
+            e = el[q]
+            kind = lp.kind[e]
+            inner = kind != LEAF  # sub-cluster leaves have no internal children
+            e, r_h = e[inner], hrow[q][inner]
+            if not len(e):
+                continue
+            s = state[e]
+            r = st.rbase[e] + r_h
+            bad = st.vals[r, s] == zero
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise RuntimeError(
+                    f"inconsistent traceback: state {self._states[s[i]]!r} unreachable "
+                    f"at element {self._element(batch.plan, lp, int(e[i]))!r}"
+                )
+            is_node = kind[inner] == NODE
+            if is_node.any():
+                self._replay_steps(lp, st, e[is_node], r_h[is_node], st.bp[r, s][is_node], state)
+            is_mat = ~is_node
+            if is_mat.any():
+                ch = lp.child[lp.child_ptr[e[is_mat]]]
+                below = st.bp[r[is_mat], s[is_mat]]
+                real = ch != HOLE_CHILD
+                state[ch[real]] = below[real]
+
+        idx = state[lp.ie_elem[lp.edge_slots_of(rows)]]
+        words = 0
+        if batch.sizer is not None:
+            words = int(self._word_costs(batch.sizer)[2][idx].sum())
+        return self._states[idx].tolist(), words
+
+    def _replay_steps(
         self,
-        members: List[Tuple[int, ClusterContext, Element, Optional[Element]]],
-        tables: List[Dict[Element, np.ndarray]],
-        traces: List[Dict[Element, Optional[_Trace]]],
+        lp: LayerPlan,
+        st: _LayerStore,
+        nodes: np.ndarray,
+        r_h: np.ndarray,
+        acc: np.ndarray,
+        state: np.ndarray,
     ) -> None:
-        """One stacked solve for a depth's indegree-one sub-cluster elements."""
+        """Child states of ``nodes`` from their step backpointers (last child first)."""
+        S = len(self.sspace)
+        acc = acc.astype(np.int64)
+        start = lp.child_ptr[nodes]
+        d = lp.child_ptr[nodes + 1] - start
+        for t in range(int(d.max(initial=0))):
+            act = np.flatnonzero(d > t)
+            slot = start[act] + d[act] - 1 - t
+            flat = st.steps[st.sbase[slot] + r_h[act], acc[act]]
+            acc[act] = flat // S
+            ch = lp.child[slot]
+            real = ch != HOLE_CHILD
+            state[ch[real]] = (flat % S)[real]
+
+    @staticmethod
+    def _element(plan: ClusteringPlan, lp: LayerPlan, e: int) -> Tuple[str, Hashable]:
+        """The element tuple of element index ``e`` (error messages)."""
+        if lp.kind[e] == NODE:
+            return ("node", plan.node_ids[int(lp.ref[e])])
+        return ("cluster", int(lp.ref[e]))
+
+    # ------------------------------------------------------------------ #
+    # Bottom-up pass
+    # ------------------------------------------------------------------ #
+
+    def _bottom_up(self, batch: LayerBatch, st: _LayerStore) -> None:
+        """Fill the tables (and backpointers) of every element of the batch."""
+        lp = batch.layer
+        el = batch.elements
+        kind = lp.kind[el]
+        leaves = el[kind == LEAF]
+        if len(leaves):
+            st.vals[st.rbase[leaves]] = self._gather(batch.summaries, lp.ref[leaves], False)
+        nodes = el[kind == NODE]
+        mats = el[kind == MAT]
+        groups = _NodeGroups(self, batch, nodes)
+        # Off the hole paths, a level is an element-tree height (dependencies
+        # sit strictly lower).  On them — once every off-path table is in
+        # place — a level is the depth along the path: an element only waits
+        # for the previous element of its own path.
+        for on_path in (False, True):
+            m = mats[(lp.depth[mats] >= 0) == on_path]
+            pos = np.flatnonzero((lp.depth[nodes] >= 0) == on_path)
+            e = nodes[pos]
+            level = lp.depth if on_path else lp.height
+            todo: Dict[int, List[Tuple[np.ndarray, Any]]] = {}
+            for (lv,), idx in _runs(level[m]):
+                todo.setdefault(lv, []).append((m[idx], None))
+            for (lv, j, gid), idx in _runs(level[e], lp.path_pos[e], groups.gid[pos]):
+                todo.setdefault(lv, []).append((pos[idx], (gid, j)))
+            for lv in sorted(todo):
+                for members, key in todo[lv]:
+                    if key is None:
+                        self._mat_group(batch, st, members, on_path)
+                    else:
+                        groups.solve(st, members, key[0], key[1])
+
+    def _mat_group(
+        self, batch: LayerBatch, st: _LayerStore, mem: np.ndarray, on_path: bool
+    ) -> None:
+        """One stacked solve for indegree-one sub-cluster elements."""
+        lp = batch.layer
         kernel = self.kernel
-        mats = np.stack(
-            [self._dense_mat(ctx.summary_of(e)) for _i, ctx, e, _child in members]
-        )  # (n, S_top, S_below)
-        if members[0][3] is None:
-            below = self._hole_batch[None]  # depth 0: the shared hole batch
+        mats = self._gather(batch.summaries, lp.ref[mem], True)  # (n, S_top, S_below)
+        ch = lp.child[lp.child_ptr[mem]]
+        if not on_path:
+            below = st.vals[st.rbase[ch]][:, None, :]  # (n, 1, S)
+            rows = st.rbase[mem][:, None]
         else:
-            below = np.stack([tables[i][child] for i, _ctx, _e, child in members])
-        cand = kernel.combine(mats[:, None, :, :], below[:, :, None, :])
-        vec = kernel.reduce(cand, axis=3)  # (n, H, S_top)
-        bp = kernel.argreduce(cand, axis=3) if self.selective else None
-        for j, (i, _ctx, e, child) in enumerate(members):
-            trace = None
-            if self.selective:
-                trace = _Trace("mat")
-                trace.child = HOLE if child is None else child
-                trace.bp = bp[j]
-                trace.vec = vec[j]
-            tables[i][e] = vec[j]
-            traces[i][e] = trace
+            if ch[0] == HOLE_CHILD:  # depth 0: the hole attaches here
+                below = self._hole_batch[None]
+            else:
+                below = st.vals[st.rbase[ch][:, None] + self._hrange]
+            rows = st.rbase[mem][:, None] + self._hrange
+        cand = kernel.combine(mats[:, None, :, :], below[:, :, None, :])  # (n, h, S, S)
+        st.vals[rows] = kernel.reduce(cand, axis=3)
+        if self.selective:
+            st.bp[rows] = kernel.argreduce(cand, axis=3)
 
     def _node_signature(
-        self, inp: Any, children: Tuple[Tuple[Element, Any], ...]
-    ) -> Tuple[Optional[Hashable], Any]:
+        self, inp: NodeInput, edges: Sequence[EdgeInfo], lo: int, hi: int
+    ) -> Tuple[Optional[Tuple[Any, ...]], Any]:
         """Structural signature grouping nodes with identical rule tensors.
 
-        Returns ``(sig, (fin_w, trans_ws))``: nodes share a group iff their
-        ``sig`` is equal; the second component carries the per-node affine
-        weights (finalize weight(s) and one weight vector per child whose
-        transition is affine, ``None`` where the plain key cache applies)
-        that :meth:`_solve_group` composes into the group's stacked tensors.
+        ``edges[lo:hi]`` are the node's child edges in absorption order.
+        Returns ``(sig, aff)``: nodes share a group iff their ``sig`` is
+        equal (``None``: a rule has no cache key); ``aff`` is ``None`` or
+        ``(fin_w, trans_ws)``, the per-node affine weights — finalize
+        weight(s) and, when any child's transition is affine, one weight
+        vector per child (``None`` where the plain key cache applies).
         """
         problem = self.problem
-        trans_affine = self._trans_affine
         init_key = problem.init_key(inp)
         if init_key is None:
             return None, None
-        tparts = []
-        tws = []
-        for _child, edge in children:
-            ta = (
-                problem.transition_affine_key(inp, edge)
-                if trans_affine and edge is not None
-                else None
-            )
-            if ta is not None:
-                tparts.append(("ta", ta[0]))
-                tws.append(tuple(ta[1]))
-                continue
-            tk = problem.transition_key(inp, edge)
-            if tk is None:
-                return None, None
-            tparts.append(("tk", tk))
-            tws.append(None)
+        tparts: Tuple[Any, ...] = ()
+        tws: Optional[Tuple[Optional[Tuple[float, ...]], ...]] = None
+        if hi > lo:
+            parts = []
+            ws: List[Optional[Tuple[float, ...]]] = []
+            for j in range(lo, hi):
+                edge = edges[j]
+                ta = problem.transition_affine_key(inp, edge) if self._trans_affine else None
+                if ta is not None:
+                    parts.append(("ta", ta[0]))
+                    ws.append(tuple(ta[1]))
+                    continue
+                tk = problem.transition_key(inp, edge)
+                if tk is None:
+                    return None, None
+                parts.append(("tk", tk))
+                ws.append(None)
+            tparts = tuple(parts)
+            if any(w is not None for w in ws):
+                tws = tuple(ws)
         if self._fin_affine:
             aff = problem.finalize_affine_key(inp)
             if aff is not None:
-                return ("a", aff[0], init_key, tuple(tparts)), (aff[1], tuple(tws))
+                return ("a", aff[0], init_key, tparts), (aff[1], tws)
         fin_key = problem.finalize_key(inp)
         if fin_key is None:
             return None, None
-        return ("e", fin_key, init_key, tuple(tparts)), (None, tuple(tws))
+        return ("e", fin_key, init_key, tparts), (None if tws is None else (None, tws))
 
-    def _fallback_group(
-        self,
-        members: List[Tuple[int, Element, Any, Tuple[Tuple[Element, Any], ...], Any]],
-        tables: List[Dict[Element, np.ndarray]],
-        traces: List[Dict[Element, Optional[_Trace]]],
-    ) -> None:
-        """Per-node path for a group whose declared key was not affine."""
-        for i, e, inp, children, _aff in members:
-            tables[i][e], traces[i][e] = self._node_with_hole(inp, children, tables[i])
+    def _summaries(self, batch: LayerBatch, st: _LayerStore) -> List[Any]:
+        """Per-cluster summary records (row order) read off the top rows."""
+        lp = batch.layer
+        tops = lp.top[batch.rows]
+        is_mat = lp.hole[batch.rows] >= 0
+        out: List[Any] = [None] * len(tops)
+        pos = np.flatnonzero(is_mat)
+        if len(pos):
+            # Top rows [h, a] (hole state h, top state a) -> mat[a, b=h].
+            rows = st.rbase[tops[pos]][:, None] + self._hrange
+            mats = np.ascontiguousarray(st.vals[rows].transpose(0, 2, 1))
+            for i, k in enumerate(pos.tolist()):
+                out[k] = {"kind": "mat", "dense": mats[i]}
+        pos = np.flatnonzero(~is_mat)
+        if len(pos):
+            vecs = st.vals[st.rbase[tops[pos]]]
+            for i, k in enumerate(pos.tolist()):
+                out[k] = {"kind": "vec", "dense": vecs[i]}
+        return out
 
-    def _solve_group(
-        self,
-        sig: Hashable,
-        members: List[Tuple[int, Element, Any, Tuple[Tuple[Element, Any], ...], Any]],
-        tables: List[Dict[Element, np.ndarray]],
-        traces: List[Dict[Element, Optional[_Trace]]],
-    ) -> None:
-        """One stacked solve for all ``members`` (same signature, same level).
-
-        Handles both off-path groups (all child tables are broadcastable
-        ``(1, S)`` rows) and hole-path groups (one child position — possibly
-        the hole pseudo-child — carries ``(H, S)`` hole rows): every array
-        has layout ``(cluster, hole_row, ...)`` and degenerate axes broadcast,
-        so the two cases run the same program the per-cluster walk would,
-        just stacked.
-        """
-        kernel = self.kernel
-        tensors = self.tensors
-        selective = self.selective
-        combine, reduce_, argreduce = kernel.combine, kernel.reduce, kernel.argreduce
-        A, S = len(self.aspace), len(self.sspace)
-        AS = A * S
-
-        _i0, _e0, inp0, children0, aff0 = members[0]
-        n = len(members)
-        d = len(children0)
-
-        if sig[0] == "a":
-            pair = tensors.finalize_affine_pair(sig[1], inp0, aff0[0])
-            if pair is None:
-                # Structural key turned out not to be affine: per-node path.
-                self._fallback_group(members, tables, traces)
-                return
-            base, masks = pair
-            # One scalar or one K-tuple per member; both shapes land as (n, K).
-            w = np.array([m[4][0] for m in members], dtype=kernel.dtype).reshape(n, -1)
-            fin = tensors.compose_affine(base, masks, w)  # (n, A, S)
-        else:
-            fin = tensors.finalize_mat(inp0)[None, :, :]  # (1, A, S), shared
-
-        acc = tensors.init_vec(inp0)[None]  # (1, 1, A), shared across the group
-        steps: List[np.ndarray] = []
-        for j in range(d):
-            child0, edge0 = children0[j]
-            tw = aff0[1][j]
-            if tw is None:
-                T = tensors.transition_tensor(inp0, edge0)[None, None]  # (1, 1, A, S, A')
-            else:
-                pair = tensors.transition_affine_pair(sig[3][j][1], inp0, edge0, tw)
-                if pair is None:
-                    self._fallback_group(members, tables, traces)
-                    return
-                baseT, masksT = pair
-                wj = np.array(
-                    [m[4][1][j] for m in members], dtype=kernel.dtype
-                ).reshape(n, -1)
-                T = tensors.compose_affine(baseT, masksT, wj)[:, None]  # (n, 1, A, S, A')
-            if child0 == HOLE:
-                rows = self._hole_batch[None]  # (1, H, S), shared hole batch
-            else:
-                rows = np.stack(
-                    [tables[i][children[j][0]] for i, _e, _inp, children, _aff in members]
-                )  # (n, h_j, S)
-            b = combine(rows[:, :, None, :, None], T)
-            cand = combine(acc[:, :, :, None, None], b)
-            flat = cand.reshape(cand.shape[0], cand.shape[1], AS, A)
-            acc = reduce_(flat, axis=2)
-            if selective:
-                steps.append(argreduce(flat, axis=2))
-
-        cand = combine(acc[:, :, :, None], fin[:, None, :, :])  # (n', h', A, S)
-        vec = reduce_(cand, axis=2)
-        fin_idx = argreduce(cand, axis=2) if selective else None
-
-        # Leading axes may have stayed degenerate (all inputs shared): index
-        # row 0 then — the data is identical for every member.
-        for j, (i, e, _inp, children, _aff) in enumerate(members):
-            jj = j if vec.shape[0] > 1 else 0
-            row = vec[jj]
-            trace = None
-            if selective:
-                trace = _Trace("node")
-                trace.children = children
-                trace.steps = [s[j if s.shape[0] > 1 else 0] for s in steps]
-                trace.fin = fin_idx[jj]
-                trace.vec = row
-            tables[i][e] = row
-            traces[i][e] = trace
-
-    # ------------------------------------------------------------------ #
-    # Per-element solves (hole paths, uncacheable rules, top-down fallback)
-    # ------------------------------------------------------------------ #
-
-    def _node_once(
-        self,
-        inp: Any,
-        children: Tuple[Tuple[Element, Any], ...],
-        hole_table: Optional[np.ndarray],
-        in_edge: Any,
-        tables: Dict[Element, np.ndarray],
-    ) -> Tuple[np.ndarray, Optional[_Trace]]:
-        """Solve one node element (mirrors the scalar absorption order)."""
-        kernel = self.kernel
-        tensors = self.tensors
-        selective = self.selective
-        combine, reduce_, argreduce = kernel.combine, kernel.reduce, kernel.argreduce
-        A, S = len(self.aspace), len(self.sspace)
-
-        if hole_table is not None:
-            children = children + ((HOLE, in_edge),)
-        trace = _Trace("node") if selective else None
-        if selective:
-            trace.children = children
-
-        acc = tensors.init_vec(inp)
-        for child_elem, edge in children:
-            child = hole_table if child_elem == HOLE else tables[child_elem]
-            T = tensors.transition_tensor(inp, edge)
-            # b = child ⊗ T first, then acc ⊗ b: associates float sums
-            # exactly like the scalar times(a, times(c, t)).
-            b = combine(child[:, None, :, None], T[None, :, :, :])
-            acc4 = acc[:, :, None, None]
-            # b already has the broadcast output shape unless only the
-            # accumulator carries the hole batch; reuse its buffer then.
-            if kernel.combine_inplace is not None and b.shape[0] >= acc.shape[0]:
-                cand = kernel.combine_inplace(acc4, b)
-            else:
-                cand = combine(acc4, b)
-            flat = cand.reshape(cand.shape[0], A * S, A)
-            acc = reduce_(flat, axis=1)
-            if selective:
-                trace.steps.append(argreduce(flat, axis=1))
-
-        fin = tensors.finalize_mat(inp)
-        cand = combine(acc[:, :, None], fin[None, :, :])
-        vec = reduce_(cand, axis=1)
-        if selective:
-            trace.fin = argreduce(cand, axis=1)
-            trace.vec = vec
-        return vec, trace
-
-    def _mat_once(
-        self,
-        ctx: ClusterContext,
-        e: Element,
-        child: Optional[Element],
-        hole_table: Optional[np.ndarray],
-        tables: Dict[Element, np.ndarray],
-    ) -> Tuple[np.ndarray, Optional[_Trace]]:
-        """Solve one indegree-one sub-cluster element."""
-        kernel = self.kernel
-        mat = self._dense_mat(ctx.summary_of(e))  # (S_top, S_below)
-        if child is None:
-            if hole_table is None:
-                raise RuntimeError(
-                    f"indegree-one sub-cluster {e!r} has no child and no hole is active"
-                )
-            child_elem, below = HOLE, hole_table
-        else:
-            child_elem, below = child, tables[child]
-        cand = kernel.combine(mat[None, :, :], below[:, None, :])  # (h, S_top, S_below)
-        vec = kernel.reduce(cand, axis=2)
-        trace = None
-        if self.selective:
-            trace = _Trace("mat")
-            trace.child = child_elem
-            trace.bp = kernel.argreduce(cand, axis=2)
-            trace.vec = vec
-        return vec, trace
-
-    # ------------------------------------------------------------------ #
-    # Per-cluster walk (consumes whatever the scheduler prefilled)
-    # ------------------------------------------------------------------ #
+    def _gather(self, summaries: Any, cids: np.ndarray, mat: bool) -> np.ndarray:
+        """Stacked dense summaries of sub-clusters ``cids``."""
+        dense = self._dense_mat if mat else self._dense_vec
+        return np.stack([dense(summaries[c]) for c in cids.tolist()])
 
     def _dense_vec(self, summary: Any) -> np.ndarray:
         if "dense" in summary:
@@ -714,29 +465,159 @@ class DenseClusterKernel:
             return summary["dense"]
         return encode_mat(summary["table"], self.sspace, self.kernel.zero, self.kernel.dtype)
 
-    def _local_tables(
-        self,
-        ctx: ClusterContext,
-        hole_table: Optional[np.ndarray],
-        tables: Dict[Element, np.ndarray],
-        traces: Dict[Element, Optional[_Trace]],
-    ) -> Tuple[Dict[Element, np.ndarray], Dict[Element, Optional[_Trace]]]:
-        """Tables of shape (h_e, S) per element, plus traces when selective."""
-        hole_element = ctx.hole_element if hole_table is not None else None
-        in_edge = ctx.in_edge if hole_table is not None else None
 
-        for kind, e, payload, _h in ctx.local_plan():
-            if e in tables:
-                continue  # prefilled by the level scheduler
-            if kind == "node":
-                inp, children = payload
-                hole = hole_table if e == hole_element else None
-                tables[e], traces[e] = self._node_once(inp, children, hole, in_edge, tables)
-            elif kind == "mat":
-                hole = hole_table if payload is None else None
-                tables[e], traces[e] = self._mat_once(ctx, e, payload, hole, tables)
-            else:  # leaf: an indegree-zero sub-cluster summary
-                tables[e] = self._dense_vec(ctx.summary_of(e)).reshape(1, -1)
-                traces[e] = None
+class _NodeGroups:
+    """Node elements of one batch with their rule signatures and inputs.
 
-        return tables, traces
+    ``gid[i]`` is the signature group of ``nodes[i]``; nodes without a
+    cacheable signature get a group of their own.
+    """
+
+    def __init__(self, dense: DenseClusterKernel, batch: LayerBatch, nodes: np.ndarray) -> None:
+        self.dense = dense
+        self.batch = batch
+        self.nodes = nodes
+        lp = batch.layer
+        plan = batch.plan
+        self.inputs = plan.node_inputs(lp.ref[nodes])
+        counts = lp.child_ptr[nodes + 1] - lp.child_ptr[nodes]
+        #: Offset of each node's first child edge in :attr:`edges`.
+        self.eoff = np.cumsum(counts) - counts
+        self.edges = plan.edge_infos(lp.child_edge[lp.slots_of(nodes)])
+        self.sigs: List[Optional[Tuple[Any, ...]]] = []
+        self.affs: List[Any] = []
+        known: Dict[Tuple[Any, ...], int] = {}
+        signature = dense._node_signature
+        edges = self.edges
+        sigs = self.sigs
+        gids: List[int] = []
+        k = 0
+        for inp, d in zip(self.inputs, counts.tolist()):
+            sig, aff = signature(inp, edges, k, k + d)
+            k += d
+            if sig is None:
+                g = len(sigs)
+                sigs.append(None)
+            else:
+                g = known.setdefault(sig, len(sigs))
+                if g == len(sigs):
+                    sigs.append(sig)
+            gids.append(g)
+            self.affs.append(aff)
+        self.gid = np.array(gids, dtype=np.int64)
+
+    def solve(self, st: _LayerStore, pos: np.ndarray, gid: int, path_j: int) -> None:
+        """Solve the nodes at positions ``pos`` (one group) with one stacked program.
+
+        ``path_j`` is the child slot carrying the ``H`` hole rows (-1: an
+        off-path group).
+        """
+        sig = self.sigs[gid]
+        if sig is None:
+            for p in pos.tolist():
+                self._solve(st, np.array([p]), None, path_j)
+        elif not self._solve(st, pos, sig, path_j):
+            # The structural key turned out not to be affine: per node.
+            for p in pos.tolist():
+                self._solve(st, np.array([p]), None, path_j)
+
+    def _solve(
+        self, st: _LayerStore, pos: np.ndarray, sig: Optional[Tuple[Any, ...]], path_j: int
+    ) -> bool:
+        dense = self.dense
+        kernel = dense.kernel
+        tensors = dense.tensors
+        selective = dense.selective
+        combine, reduce_, argreduce = kernel.combine, kernel.reduce, kernel.argreduce
+        A, S = len(dense.aspace), len(dense.sspace)
+        lp = self.batch.layer
+        mem = self.nodes[pos]
+        n = len(mem)
+        p0 = int(pos[0])
+        inp0 = self.inputs[p0]
+        slot0 = lp.child_ptr[mem]
+        d = int(lp.child_ptr[mem[0] + 1] - slot0[0])
+        edges0 = self.edges[int(self.eoff[p0]) : int(self.eoff[p0]) + d]
+        affs = [self.affs[p] for p in pos.tolist()] if sig is not None else []
+        # Per-child affine weights of the group (None: no affine transition).
+        tws0 = affs[0][1] if affs and affs[0] is not None else None
+
+        if sig is not None and sig[0] == "a":
+            pair = tensors.finalize_affine_pair(sig[1], inp0, affs[0][0])
+            if pair is None:
+                return False
+            base, masks = pair
+            # One scalar or one K-tuple per member; both shapes land as (n, K).
+            w = np.array([a[0] for a in affs], dtype=kernel.dtype).reshape(n, -1)
+            fin = tensors.compose_affine(base, masks, w)  # (n, A, S)
+        else:
+            fin = tensors.finalize_mat(inp0)[None, :, :]  # (1, A, S), shared
+
+        acc = tensors.init_vec(inp0)[None]  # (1, 1, A), shared across the group
+        steps: List[np.ndarray] = []
+        for j in range(d):
+            tw = tws0[j] if tws0 is not None else None
+            if tw is None:
+                T = tensors.transition_tensor(inp0, edges0[j])[None, None]  # (1, 1, A, S, A')
+            else:
+                assert sig is not None
+                tpair = tensors.transition_affine_pair(sig[3][j][1], inp0, edges0[j], tw)
+                if tpair is None:
+                    return False
+                baseT, masksT = tpair
+                wj = np.array([a[1][j] for a in affs], dtype=kernel.dtype).reshape(n, -1)
+                T = tensors.compose_affine(baseT, masksT, wj)[:, None]  # (n, 1, A, S, A')
+            ch = lp.child[slot0 + j]
+            if j != path_j:
+                rows = st.vals[st.rbase[ch]][:, None, :]  # (n, 1, S)
+            elif ch[0] == HOLE_CHILD:
+                rows = dense._hole_batch[None]  # (1, H, S), the hole pseudo-child
+            else:
+                rows = st.vals[st.rbase[ch][:, None] + dense._hrange]  # (n, H, S)
+            # b = child ⊗ T first, then acc ⊗ b: associates float sums
+            # exactly like the scalar times(a, times(c, t)).
+            b = combine(rows[:, :, None, :, None], T)
+            cand = combine(acc[:, :, :, None, None], b)
+            flat = cand.reshape(cand.shape[0], cand.shape[1], A * S, A)
+            acc = reduce_(flat, axis=2)
+            if selective:
+                steps.append(argreduce(flat, axis=2))
+
+        cand = combine(acc[:, :, :, None], fin[:, None, :, :])  # (n', h, A, S)
+        vec = reduce_(cand, axis=2)
+        # Leading axes may have stayed degenerate (all inputs shared): the
+        # assignments below broadcast them over the members.
+        if path_j < 0:
+            rows_out = st.rbase[mem]
+            st.vals[rows_out] = vec[:, 0]
+            if selective:
+                st.bp[rows_out] = argreduce(cand, axis=2)[:, 0]
+                for j, step in enumerate(steps):
+                    st.steps[st.sbase[slot0 + j]] = step[:, 0]
+        else:
+            hr = dense._hrange
+            rows_out = st.rbase[mem][:, None] + hr
+            st.vals[rows_out] = vec
+            if selective:
+                st.bp[rows_out] = argreduce(cand, axis=2)
+                for j, step in enumerate(steps):
+                    st.steps[st.sbase[slot0 + j][:, None] + hr] = step
+        return True
+
+
+def _runs(*cols: np.ndarray) -> List[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Positions grouped by equal key columns, in ascending key order."""
+    if not len(cols[0]):
+        return []
+    order = np.lexsort(cols[::-1])
+    keys = [c[order] for c in cols]
+    change = np.zeros(len(order), dtype=bool)
+    change[0] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(change)
+    bounds = np.append(starts, len(order))
+    return [
+        (tuple(int(k[s]) for k in keys), order[s:e])
+        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]

@@ -21,11 +21,11 @@ this against sequential and brute-force solvers.
 Two interchangeable local computations implement the per-cluster solve:
 
 * the **numpy backend** (:class:`~repro.dp.kernels.dense_local.DenseClusterKernel`)
-  keeps tables as dense arrays, batches all hole states of an indegree-one
-  cluster into one element-tree walk, and — given a whole layer of clusters
-  at once — level-schedules the off-hole-path elements and depth-schedules
-  the hole-path elements into stacked cross-cluster array programs; this is
-  the default whenever the problem declares
+  works on whole layer batches over the compiled layer plan
+  (:mod:`repro.dp.kernels.plan`): tables and backpointers live in per-layer
+  arrays, all hole states of an indegree-one cluster are carried at once,
+  and both passes run as per-level stacked array programs; this is the
+  default whenever the problem declares
   :attr:`~repro.dp.problem.FiniteStateDP.acc_states`
   and its semiring has a dense kernel;
 * the **python backend** (this module) walks the element tree with
@@ -43,10 +43,11 @@ not depend on the backend choice.  Select explicitly with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.clustering.model import Element
-from repro.dp.kernels.dense_local import HOLE, DenseClusterKernel
+from repro.dp.kernels.dense_local import DenseClusterKernel
+from repro.dp.kernels.plan import LayerBatch
 from repro.dp.kernels.semiring_kernels import kernel_for
 from repro.dp.problem import ClusterContext, ClusterDP, FiniteStateDP
 from repro.dp.semiring import Semiring
@@ -55,6 +56,9 @@ __all__ = ["FiniteStateClusterSolver", "backend_ineligibility", "BACKENDS", "HOL
 
 #: Recognised backend choices.
 BACKENDS = ("auto", "numpy", "python")
+
+#: Sentinel for the hole pseudo-child (the subtree below the incoming edge).
+HOLE: Element = ("hole", None)
 
 
 def backend_ineligibility(problem: FiniteStateDP) -> Optional[str]:
@@ -122,14 +126,32 @@ class FiniteStateClusterSolver(ClusterDP):
     # ClusterDP interface
     # ------------------------------------------------------------------ #
 
-    def summarize_layer(self, ctxs) -> List[Any]:
+    def summarize_layer(self, batch: LayerBatch) -> Tuple[List[Any], int]:
         if self._dense is not None:
-            return self._dense.summarize_layer(ctxs)
-        return [self.summarize(ctx) for ctx in ctxs]
+            return self._dense.summarize_layer(batch)
+        return super().summarize_layer(batch)
+
+    def label_layer(
+        self, batch: LayerBatch, out_labels: Sequence[Any], in_labels: Sequence[Any]
+    ) -> Tuple[List[Any], int]:
+        if not self.produces_labels:
+            raise NotImplementedError(
+                f"{self.problem.name} uses a non-selective semiring; "
+                "only the root value is defined"
+            )
+        if self._dense is not None:
+            return self._dense.label_layer(batch, out_labels, in_labels)
+        return super().label_layer(batch, out_labels, in_labels)
+
+    def _layer_only(self, what: str) -> NotImplementedError:
+        return NotImplementedError(
+            f"{self.problem.name}: the numpy backend solves whole layer batches "
+            f"(summarize_layer/label_layer), not single clusters ({what})"
+        )
 
     def summarize(self, ctx: ClusterContext) -> Any:
         if self._dense is not None:
-            return self._dense.summarize(ctx)
+            raise self._layer_only("summarize")
         sr = self.problem.semiring
         if ctx.is_indegree_one:
             table: Dict[Tuple[Hashable, Hashable], Any] = {}
@@ -144,7 +166,7 @@ class FiniteStateClusterSolver(ClusterDP):
 
     def label_virtual_root(self, ctx: ClusterContext, summary: Any) -> Tuple[Any, Any]:
         if self._dense is not None:
-            return self._dense.label_virtual_root(ctx, summary)
+            return self._dense.label_virtual_root(summary)
         sr = self.problem.semiring
         table = summary["table"]
         if sr.selective:
@@ -176,7 +198,7 @@ class FiniteStateClusterSolver(ClusterDP):
                 "only the root value is defined"
             )
         if self._dense is not None:
-            return self._dense.assign_internal_labels(ctx, out_label, in_label)
+            raise self._layer_only("assign_internal_labels")
         _, traces = self._local_vector(ctx, hole_state=in_label, record_trace=True)
 
         state_of: Dict[Element, Hashable] = {ctx.top_element: out_label}

@@ -23,11 +23,26 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.clustering.model import Cluster, Element
 from repro.dp.semiring import Semiring
 from repro.trees.tree import RootedTree
+
+if TYPE_CHECKING:
+    from repro.dp.kernels.plan import LayerBatch
 
 __all__ = ["NodeInput", "EdgeInfo", "ClusterContext", "ClusterDP", "FiniteStateDP"]
 
@@ -98,6 +113,10 @@ class EdgeInfo:
         return default
 
 
+#: The (empty) element-tree views of a single-element cluster.
+_NO_ELEMENT_TREE: Mapping[Any, Any] = MappingProxyType({})
+
+
 class ClusterContext:
     """Everything a :class:`ClusterDP` may inspect about one cluster.
 
@@ -120,11 +139,16 @@ class ClusterContext:
         self.tree = tree
         self._summaries = summaries
         self._clusters = clusters
-        self._edge_kinds = edge_kinds or {}
-        self._aux_nodes = aux_nodes or set()
-        self._original_parent = original_parent or {}
-        self._children = cluster.element_children()
-        self._edge_of = cluster.edge_of_element()
+        self._edge_kinds = edge_kinds if edge_kinds is not None else {}
+        self._aux_nodes = aux_nodes if aux_nodes is not None else set()
+        self._original_parent = original_parent if original_parent is not None else {}
+        if cluster.internal_edges:
+            self._children: Mapping[Element, List[Element]] = cluster.element_children()
+            self._edge_of: Mapping[Element, Tuple[Hashable, Hashable]] = (
+                cluster.edge_of_element()
+            )
+        else:  # a single-element cluster has no element tree to look up
+            self._children = self._edge_of = _NO_ELEMENT_TREE
 
     # -- structure ------------------------------------------------------- #
 
@@ -146,120 +170,6 @@ class ClusterContext:
     def element_postorder(self) -> List[Element]:
         """Cached postorder of the cluster's element tree."""
         return self.cluster.element_postorder()
-
-    def local_plan(self) -> List[Tuple[str, Element, Any, int]]:
-        """Problem-independent local-solve plan of this cluster (cached).
-
-        One postorder entry per element with everything prefetched that the
-        per-cluster solvers would otherwise rebuild on every solve:
-
-        * ``("node", e, (node_input, children), height)`` — ``children`` is
-          the tuple of ``(child_element, edge_info)`` pairs in absorption
-          order (the hole pseudo-child is *not* included; solvers append it
-          when the element is the hole element and a hole is active);
-        * ``("mat", e, child_element_or_None, height)`` — an indegree-one
-          sub-cluster element and its single child (``None``: the hole
-          attaches here);
-        * ``("leaf", e, None, 0)`` — an indegree-zero sub-cluster element.
-
-        ``height`` is the element's height in the element tree (0 for
-        childless elements); all elements of one height are mutually
-        independent given the levels below, which is what lets vectorized
-        solvers batch them across clusters.
-
-        The plan depends only on the cluster and the tree (both fixed for
-        the clustering's lifetime), so it is cached on the cluster and
-        shared by every problem, pass and backend — this is what makes
-        repeated solves on one clustering cheap.
-        """
-        plan = self.cluster._local_plan
-        if plan is not None:
-            return plan
-        plan = []
-        heights: Dict[Element, int] = {}
-        for e in self.element_postorder():
-            kids = self.sorted_children_of(e)
-            h = 1 + max(heights[c] for c in kids) if kids else 0
-            heights[e] = h
-            if e[0] == "node":
-                children = tuple((c, self.edge_to_parent(c)) for c in kids)
-                plan.append(("node", e, (self.node_input(e[1]), children), h))
-            elif self.element_kind(e) == "indegree-1":
-                if len(kids) > 1:
-                    raise RuntimeError(
-                        f"indegree-one sub-cluster {e!r} must have exactly one child, "
-                        f"got {kids}"
-                    )
-                if not kids and self.hole_element != e:
-                    raise RuntimeError(
-                        f"indegree-one sub-cluster {e!r} has no child and is not "
-                        "the hole element"
-                    )
-                plan.append(("mat", e, kids[0] if kids else None, h))
-            else:  # indegree-0 (or, impossibly, final)
-                if kids:
-                    raise RuntimeError(
-                        f"indegree-zero sub-cluster {e!r} unexpectedly has children"
-                    )
-                plan.append(("leaf", e, None, 0))
-        # mpclint: disable-next-line=stale-cache-invalidation -- designated builder: the memo is derived from cluster+tree structure, immutable for the clustering's lifetime
-        self.cluster._local_plan = plan
-        return plan
-
-    def hole_plan(self) -> List[Tuple[str, Element, Any, Optional[Element]]]:
-        """Ordered local-plan entries along the hole path, hole element first.
-
-        Each entry is ``(kind, e, payload, path_child)`` — the
-        :meth:`local_plan` entry of one hole-path element plus the previous
-        path element it absorbs (``None`` for the hole element itself, where
-        the hole pseudo-child attaches instead).  The position of an entry in
-        the list is its *depth along the path*, which is what the dense
-        solver's layer-wide hole-path scheduler groups by: entries of equal
-        depth across all clusters of a layer are mutually independent once
-        depth - 1 is done.  Empty for indegree-zero clusters.  Like the plan,
-        it depends only on the cluster and the tree, so it is cached on the
-        cluster and shared by every problem and backend.
-        """
-        plan = self.cluster._hole_plan
-        if plan is not None:
-            return plan
-        plan = []
-        if self.cluster.hole_element is not None:
-            by_element = {e: (kind, e, payload) for kind, e, payload, _h in self.local_plan()}
-            parent = self.cluster.element_parent()
-            e = self.cluster.hole_element
-            path_child: Optional[Element] = None
-            while True:
-                kind, _e, payload = by_element[e]
-                plan.append((kind, e, payload, path_child))
-                if e == self.cluster.top_element:
-                    break
-                path_child = e
-                e = parent[e]
-        # mpclint: disable-next-line=stale-cache-invalidation -- designated builder: the memo is derived from cluster+tree structure, immutable for the clustering's lifetime
-        self.cluster._hole_plan = plan
-        return plan
-
-    def hole_path(self) -> frozenset:
-        """Elements on the path from the hole element to the top (inclusive).
-
-        Empty for indegree-zero clusters.  Cached on the cluster alongside
-        the plan structures.
-        """
-        path = getattr(self.cluster, "_hole_path", None)
-        if path is None:
-            elems = []
-            e = self.cluster.hole_element
-            if e is not None:
-                parent = self.cluster.element_parent()
-                while True:
-                    elems.append(e)
-                    if e == self.cluster.top_element:
-                        break
-                    e = parent[e]
-            path = frozenset(elems)
-            self.cluster._hole_path = path
-        return path
 
     def edge_to_parent(self, e: Element) -> Optional[EdgeInfo]:
         """The original edge from element ``e`` to its parent element (if internal)."""
@@ -353,15 +263,34 @@ class ClusterDP(abc.ABC):
     def summarize(self, ctx: ClusterContext) -> Any:
         """Compute f(C) from the summaries of the cluster's elements (Fig. 2)."""
 
-    def summarize_layer(self, ctxs: List["ClusterContext"]) -> List[Any]:
-        """Summaries of one whole layer of clusters, aligned with ``ctxs``.
+    def summarize_layer(self, batch: "LayerBatch") -> Tuple[List[Any], int]:
+        """Summaries of one layer batch, aligned with ``batch.cids``, plus words.
 
         A layer is the engine's parallel unit (all its clusters are solved
-        independently within one charged round, Section 5.1).  The default
-        simply maps :meth:`summarize`; vectorized solvers override this to
-        batch work across the layer's clusters.
+        independently within one charged round, Section 5.1).  Returns the
+        summaries and their routed word volume.  The default summarizes one
+        :class:`ClusterContext` per cluster and prices every summary; the
+        dense backend overrides this to run the whole batch as array
+        programs over the compiled layer plan.
         """
-        return [self.summarize(ctx) for ctx in ctxs]
+        summaries = [self.summarize(ctx) for ctx in batch.contexts()]
+        return summaries, batch.words(summaries)
+
+    def label_layer(
+        self, batch: "LayerBatch", out_labels: Sequence[Any], in_labels: Sequence[Any]
+    ) -> Tuple[List[Any], int]:
+        """Labels of a layer batch's internal edges plus their routed words.
+
+        ``out_labels`` / ``in_labels`` are the boundary labels of the
+        batch's clusters (``None`` for an absent incoming edge).  The labels
+        are aligned with ``batch.edges``.  The default runs
+        :meth:`assign_internal_labels` per cluster.
+        """
+        labels: List[Any] = []
+        for ctx, out_label, in_label in zip(batch.contexts(), out_labels, in_labels):
+            by_element = self.assign_internal_labels(ctx, out_label, in_label)
+            labels.extend(by_element[child] for child, _p, _e in ctx.cluster.internal_edges)
+        return labels, batch.words(labels)
 
     @abc.abstractmethod
     def label_virtual_root(self, ctx: ClusterContext, summary: Any) -> Tuple[Any, Any]:

@@ -15,6 +15,7 @@ are evaluated bottom-up only (the answer is the root value).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 __all__ = [
@@ -139,14 +140,26 @@ SUM_PRODUCT = Semiring(
 )
 
 
+def _add_mod(k: int, a: Any, b: Any) -> Any:
+    return (a + b) % k
+
+
+def _mul_mod(k: int, a: Any, b: Any) -> Any:
+    return (a * b) % k
+
+
 def counting_mod(k: int) -> Semiring:
-    """Counting modulo ``k`` (used for counting matchings mod k, Table 1)."""
+    """Counting modulo ``k`` (used for counting matchings mod k, Table 1).
+
+    ``plus``/``times`` are module-level functions bound to ``k``, so the
+    semiring — and every problem holding one — pickles to exec workers.
+    """
     if k < 2:
         raise ValueError("modulus must be at least 2")
     return Semiring(
         name=f"count-mod-{k}",
-        plus=lambda a, b: (a + b) % k,
-        times=lambda a, b: (a * b) % k,
+        plus=partial(_add_mod, k),
+        times=partial(_mul_mod, k),
         zero=0,
         one=1 % k,
         selective=False,

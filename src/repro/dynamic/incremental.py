@@ -17,18 +17,18 @@ accepts batched point updates without re-clustering:
 * **Partial bottom-up.**  Updates seed the clusters that own the touched
   payloads; each touched layer's dirty clusters are re-summarized as one
   batch through the same :meth:`~repro.dp.engine.DPEngine.summarize_clusters`
-  path the full solve uses, so the vectorized kernels' grouped array
-  programs, cached cluster plans and affine tensor decompositions are all
-  reused (a weight-only edit inside one affine group re-*composes* tensors;
-  it never re-enumerates the problem's scalar rules).  A re-solved cluster
-  whose summary comes out bit-identical stops the chain — its parent's
-  inputs did not change.
+  path the full solve uses — a row selection of the compiled layer plan, so
+  the vectorized kernels' grouped array programs and affine tensor
+  decompositions are all reused (a weight-only edit inside one affine group
+  re-*composes* tensors; it never re-enumerates the problem's scalar
+  rules).  A re-solved cluster whose summary comes out bit-identical stops
+  the chain — its parent's inputs did not change.
 * **Partial top-down.**  Only re-solved clusters and clusters whose boundary
   (out-edge / in-edge) label changed re-derive internal labels; label
   changes propagate strictly downward through the hierarchy, so the pass
-  walks exactly the affected root-to-leaf label paths.  The dense backend's
-  persistent trace memo makes re-labeling an untouched cluster a pure
-  replay.
+  walks exactly the affected root-to-leaf label paths, one layer batch at
+  a time.  The dense backend's persistent per-layer backpointer arrays make
+  re-labeling an untouched cluster a pure replay.
 * **Accounting.**  Rounds and routed words of the partial passes are
   charged under the separate ``"dp-update"`` label
   (:data:`~repro.dp.engine.DP_UPDATE_LABEL`), so benchmarks can compare an
@@ -231,10 +231,8 @@ class IncrementalSolver:
     cache_entries:
         LRU bound on the dense backend's payload-value-keyed rule caches
         (overrides the ``REPRO_DP_CACHE_ENTRIES`` default); ``None`` keeps
-        the environment default.
-    trace_entries:
-        LRU bound on the dense backend's bottom-up trace memo; ``None``
-        keeps it bounded only by the clustering's cluster count.
+        the environment default.  The backend's backpointer arrays need no
+        bound: they are sized by the clustering once.
 
     The constructor runs the initial full solve; its statistics are kept in
     :attr:`initial_stats` for update-vs-full comparisons.
@@ -244,7 +242,7 @@ class IncrementalSolver:
     All of this solver's passes — the initial solve, partial re-solves and
     :meth:`refresh` — run inline even when the deployment selects
     ``exec_backend="process"``: the update path re-reads the solver's
-    driver-side memo state (bottom-up traces, rule-tensor caches), which a
+    driver-side memo state (backpointer arrays, rule-tensor caches), which a
     worker-side solve would not populate.  Full solves through
     :func:`~repro.core.pipeline.solve_on` are unaffected.
     """
@@ -257,7 +255,6 @@ class IncrementalSolver:
         full_resolve_threshold: float = 0.6,
         fault_plan: Optional[Any] = None,
         cache_entries: Optional[int] = None,
-        trace_entries: Optional[int] = None,
     ):
         if not (0.0 < full_resolve_threshold <= 1.0):
             raise ValueError("full_resolve_threshold must be in (0, 1]")
@@ -265,20 +262,18 @@ class IncrementalSolver:
         self._fault_plan = fault_plan
         self.problem = problem
         self.solver = as_cluster_dp(problem, backend=backend or prepared.sim.config.dp_backend)
-        # LRU bounds on the dense backend's payload-value-keyed caches
-        # (``cache_entries``) and bottom-up trace memo (``trace_entries``).
-        # A long-running serving solver needs these to keep flat memory; the
-        # python backend has no such caches, so the knobs are a no-op there.
-        if cache_entries is not None or trace_entries is not None:
+        # LRU bound on the dense backend's payload-value-keyed caches.  A
+        # long-running serving solver needs it to keep flat memory; the python
+        # backend has no such caches, so the knob is a no-op there.
+        if cache_entries is not None:
             dense = getattr(self.solver, "_dense", None)
             if dense is not None:
-                dense.set_cache_limits(
-                    value_entries=cache_entries, trace_entries=trace_entries
-                )
+                dense.tensors.set_value_cache_entries(cache_entries)
         self.engine = prepared.engine()
         # The full solves run inline even under exec_backend="process": the
-        # update path re-reads this solver's driver-side memos (traces,
-        # rule-tensor caches), which a worker-side solve would not populate.
+        # update path re-reads this solver's driver-side memos (backpointer
+        # arrays, rule-tensor caches), which a worker-side solve would not
+        # populate.
         self.engine.exec_enabled = False
         self.obs = prepared.sim.obs
         self.hc = prepared.clustering
@@ -330,19 +325,17 @@ class IncrementalSolver:
         The explicit fallback for callers who mutated tree payloads behind
         the solver's back; clusterings never change, so this is still
         cheaper than a new ``prepare()``.  Charged under ``"dp-update"``.
-        Every cluster's prefetched payload plan is dropped — out-of-band
-        mutations bypass the per-update invalidation — and so are the
-        solver's payload-value-keyed memos (the dense backend's trace memo
-        and rule-tensor caches), making ``refresh()`` the memory release
-        valve of a long-lived serving solver: the caches otherwise
-        accumulate one entry per *distinct* payload value ever seen.  The
-        full re-solve repopulates the traces; tensors rebuild on demand.
+        The plan's whole payload cache is dropped — out-of-band mutations
+        bypass the per-update invalidation — and so are the solver's
+        payload-value-keyed rule-tensor caches, making ``refresh()`` the
+        memory release valve of a long-lived serving solver: those caches
+        otherwise accumulate one entry per *distinct* payload value ever
+        seen.  The full re-solve rewrites every backpointer row; tensors
+        rebuild on demand.
         """
-        for cluster in self.hc.clusters.values():
-            cluster.invalidate_payload_plans()
+        self.hc.invalidate_payload_plans()
         dense = getattr(self.solver, "_dense", None)
         if dense is not None:
-            dense.forget_traces()
             dense.tensors.clear_value_caches()
         self._bump_exec_epoch()
         return self._apply([], force_full=True)
@@ -450,9 +443,11 @@ class IncrementalSolver:
             self._set_payload(original.node_data, v, up.data)
             self._set_payload(reduced.node_data, v, up.data)
             owner = hc.node_owner(v)
-            hc.clusters[owner].invalidate_payload_plans()
+            hc.invalidate_payload_plans(nodes=[v])
             # Auxiliary nodes are transparent: a real child below an
             # auxiliary chain still reads the original parent's payload.
+            # The children's own cached inputs are unchanged; only their
+            # clusters re-solve.
             if want_children:
                 aux = self.prepared.reduction.aux_nodes
                 stack = list(reduced.children(v))
@@ -461,9 +456,7 @@ class IncrementalSolver:
                     if c in aux:
                         stack.extend(reduced.children(c))
                     else:
-                        cid = hc.node_owner(c)
-                        hc.clusters[cid].invalidate_payload_plans()
-                        child_seeds.add(cid)
+                        child_seeds.add(hc.node_owner(c))
             return {owner}, child_seeds
         if up.kind == "edge":
             child, parent = up.target
@@ -474,10 +467,10 @@ class IncrementalSolver:
             self._set_payload(original.edge_data, (child, parent), up.data)
             self._set_payload(reduced.edge_data, red_edge, up.data)
             owner = hc.edge_internal_owner()[red_edge]
-            hc.clusters[owner].invalidate_payload_plans()
+            hc.invalidate_payload_plans(edges=[red_edge])
             # Nested indegree-one clusters read the edge as their incoming
             # edge (the innermost applies its transition constraint); they
-            # are dirty too.  Their plans never cache the in-edge payload.
+            # are dirty too.  They read the same cached edge input.
             return {owner, *hc.in_edge_owners().get(red_edge, ())}, child_seeds
         raise AssertionError(f"update kind {up.kind!r} escaped _validate")
 
@@ -637,28 +630,28 @@ class IncrementalSolver:
             cids = pending.pop(layer, None)
             if not cids:
                 continue
-            clusters = [hc.clusters[cid] for cid in sorted(cids)]
+            order = sorted(cids)
             if self._fault_plan is not None:
                 # Chaos hook: a matching plan entry raises InjectedFault here,
                 # after payloads were written but before this layer's chains
                 # re-solve — exactly the window the pending-dirty heal covers.
                 self._fault_plan.check_site("update-layer")
-            old = None if skip_pruning else {c.cid: self.summaries[c.cid] for c in clusters}
+            old = None if skip_pruning else {cid: self.summaries[cid] for cid in order}
             # Rounds/words are charged on the simulator under "dp-update";
             # _apply reads the per-label diff back into the report.
             self.engine.summarize_clusters(
-                self.solver, self.summaries, {layer: clusters}, label=DP_UPDATE_LABEL
+                self.solver, self.summaries, {layer: order}, label=DP_UPDATE_LABEL
             )
             report.layers_resolved += 1
-            resolved.update(c.cid for c in clusters)
-            for c in clusters:
-                if c.cid == hc.final_cluster_id:
+            resolved.update(order)
+            for cid in order:
+                if cid == hc.final_cluster_id:
                     report.summaries_changed += 1
                     continue
-                if old is not None and summaries_equal(old[c.cid], self.summaries[c.cid]):
+                if old is not None and summaries_equal(old[cid], self.summaries[cid]):
                     continue  # chain pruned: the parent's inputs are unchanged
                 report.summaries_changed += 1
-                parent = owner[cluster_element(c.cid)]
+                parent = owner[cluster_element(cid)]
                 pending.setdefault(hc.clusters[parent].layer, set()).add(parent)
         report.clusters_resolved = len(resolved)
         return resolved
@@ -688,37 +681,26 @@ class IncrementalSolver:
         for cid in resolved:
             relabel.setdefault(hc.clusters[cid].layer, set()).add(cid)
 
-        sizer = sim.word_size
         for layer in range(hc.num_layers, 0, -1):
             cids = relabel.pop(layer, None)
             if not cids:
                 continue
-            layer_words = 0
-            for cid in sorted(cids):
-                cluster = hc.clusters[cid]
-                out_label = (
-                    self.root_label if cid == final_cid else self.edge_labels[cluster.out_edge]
-                )
-                in_label = (
-                    self.edge_labels[cluster.in_edge] if cluster.in_edge is not None else None
-                )
-                ctx = self.engine.context(cluster, self.summaries)
-                labels = self.solver.assign_internal_labels(ctx, out_label, in_label)
-                report.clusters_relabeled += 1
-                for child_e, _parent_e, edge in cluster.internal_edges:
-                    lab = labels[child_e]
-                    layer_words += sizer(lab)
-                    if summaries_equal(self.edge_labels[edge], lab):
-                        continue
-                    self.edge_labels[edge] = lab
-                    self.node_labels[edge[0]] = lab
-                    report.edges_relabeled += 1
-                    # Boundary dependents sit at strictly lower layers, so
-                    # the descending sweep picks them up later this pass.
-                    for dep in deps.get(edge, ()):
-                        relabel.setdefault(hc.clusters[dep].layer, set()).add(dep)
+            batch = self.engine.layer_batch(layer, cids, self.summaries)
+            outs, ins = self.engine.boundary_labels(batch, self.edge_labels, self.root_label)
+            labels, words = self.solver.label_layer(batch, outs, ins)
+            report.clusters_relabeled += len(batch)
+            for edge, lab in zip(batch.edges, labels):
+                if summaries_equal(self.edge_labels[edge], lab):
+                    continue
+                self.edge_labels[edge] = lab
+                self.node_labels[edge[0]] = lab
+                report.edges_relabeled += 1
+                # Boundary dependents sit at strictly lower layers, so the
+                # descending sweep picks them up later this pass.
+                for dep in deps.get(edge, ()):
+                    relabel.setdefault(hc.clusters[dep].layer, set()).add(dep)
             sim.charge_rounds(ROUNDS_PER_LAYER, label=DP_UPDATE_LABEL)
-            sim.charge_words(layer_words, label=DP_UPDATE_LABEL)
+            sim.charge_words(words, label=DP_UPDATE_LABEL)
             report.layers_relabeled += 1
 
     # ------------------------------------------------------------------ #

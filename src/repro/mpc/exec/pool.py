@@ -121,19 +121,29 @@ def _build_solver(spec: Tuple[str, Any, Any]) -> Any:
     return spec[1]
 
 
-def _worker_context(state: Dict[str, Any], summaries: Dict[int, Any], cid: int) -> Any:
-    from repro.dp.problem import ClusterContext
+def _worker_batch(
+    state: Dict[str, Any],
+    layer: int,
+    rows: Any,
+    summaries: Dict[int, Any],
+    sizer: Any,
+) -> Any:
+    """The :class:`~repro.dp.kernels.plan.LayerBatch` of ``rows`` of ``layer``.
 
-    hc = state["clustering"]
-    return ClusterContext(
-        cluster=hc.clusters[cid],
-        tree=hc.tree,
-        summaries=summaries,
-        clusters=hc.clusters,
-        edge_kinds=state["edge_kinds"],
-        aux_nodes=state["aux_nodes"],
-        original_parent=state["original_parent"],
+    The layer plans travel with the shipped clustering (compiled on the
+    driver before the first DP session), so this never recompiles them.
+    """
+    from repro.dp.kernels.plan import LayerBatch, clustering_plan
+
+    plan = clustering_plan(
+        state["clustering"],
+        state["edge_kinds"],
+        state["aux_nodes"],
+        state["original_parent"],
     )
+    lp = plan.layers[layer]
+    assert lp is not None
+    return LayerBatch(plan, lp, np.asarray(rows, dtype=np.int64), summaries, sizer)
 
 
 def _worker_main(
@@ -261,33 +271,24 @@ def _worker_main(
                     "summaries": {},
                 }
             elif cmd == "dp_solve":
-                skey, cids, extra_summaries = payload
+                skey, layer, rows, extra_summaries, sizer = payload
                 sess = dp_sessions[skey]
-                state = tree_states[sess["tree_key"]]
                 summaries = sess["summaries"]
                 summaries.update(extra_summaries)
-                ctxs = [_worker_context(state, summaries, cid) for cid in cids]
-                out = sess["solver"].summarize_layer(ctxs)
-                for cid, summary in zip(cids, out):
-                    summaries[cid] = summary
-                result = list(zip(cids, out))
+                batch = _worker_batch(
+                    tree_states[sess["tree_key"]], layer, rows, summaries, sizer
+                )
+                out, words = sess["solver"].summarize_layer(batch)
+                summaries.update(zip(batch.cids, out))
+                result = (out, words)
             elif cmd == "dp_labels":
-                skey, items, extra_summaries = payload
+                skey, layer, rows, outs, ins, extra_summaries, sizer = payload
                 sess = dp_sessions[skey]
-                state = tree_states[sess["tree_key"]]
                 sess["summaries"].update(extra_summaries)
-                solver = sess["solver"]
-                result = [
-                    (
-                        cid,
-                        solver.assign_internal_labels(
-                            _worker_context(state, sess["summaries"], cid),
-                            out_label,
-                            in_label,
-                        ),
-                    )
-                    for cid, out_label, in_label in items
-                ]
+                batch = _worker_batch(
+                    tree_states[sess["tree_key"]], layer, rows, sess["summaries"], sizer
+                )
+                result = sess["solver"].label_layer(batch, outs, ins)
             elif cmd == "dp_close":
                 dp_sessions.pop(payload, None)
             elif cmd == "ping":
@@ -308,7 +309,7 @@ def _worker_main(
                         attrs["op"] = payload[0]
                         attrs["rows"] = payload[2] - payload[1]
                     elif cmd in ("dp_solve", "dp_labels"):
-                        attrs["n"] = len(payload[1])
+                        attrs["n"] = len(payload[2])
                     span = worker_span(
                         f"worker.{cmd}", 0.0, clock.now() - t_cmd, **attrs
                     )
@@ -1027,14 +1028,16 @@ class ProcessDPSession:
 
     A cluster is owned by worker ``cid % slots`` for the whole solve, so the
     worker that summarised a cluster bottom-up also labels it top-down (its
-    solver's trace memo is local).  Summaries a worker needs but does not
-    own are shipped as deltas with the batch — the driver keeps the complete
+    solver's backpointers are local).  Each slot receives its clusters as a
+    row selection of the layer plan the shipped clustering carries, so no
+    batch recompiles anything.  Summaries a worker needs but does not own
+    are shipped as deltas with the batch — the driver keeps the complete
     summary map, which is also what makes supervision sound: after a pool
     rebuild the session re-opens on fresh workers, the ``_known`` delta
     bookkeeping resets, and the next batch ships everything the new workers
-    need; the label phase recomputes any trace a respawned worker lost.
+    need; the label phase re-solves the rows a respawned worker lost.
     When the ladder is exhausted the session degrades to evaluating batches
-    inline on the driver with the same contexts — bit-identical.
+    inline on the driver over the same plan — bit-identical.
     """
 
     def __init__(
@@ -1056,12 +1059,9 @@ class ProcessDPSession:
         self.obs = obs if obs is not None else OBS_OFF
         if self.obs.enabled:
             backend.register_health_gauges(self.obs)
-        self._known: List[set] = [set() for _ in range(backend.num_slots)]
+        self._known: List[Set[int]] = [set() for _ in range(backend.num_slots)]
         self._degraded = False
         self._closed = False
-
-    def _owner(self, cid: int) -> int:
-        return cid % self.backend.num_slots
 
     def _reestablish(self) -> None:
         """Restore worker-side session state before a retry.
@@ -1079,57 +1079,71 @@ class ProcessDPSession:
         backend._call_all("dp_open", (self.skey, self.tree_key, self._solver_blob))
         self._known = [set() for _ in range(backend.num_slots)]
 
-    def _summary_extras(
-        self, slot: int, cids: Sequence[int], by_cid: Dict[int, Any],
-        summaries: Dict[int, Any]
-    ) -> Dict[int, Any]:
-        """Child-cluster summaries ``slot`` needs for ``cids`` but lacks."""
+    def _slot_batches(self, batch: Any) -> List[Tuple[int, Any]]:
+        """``(slot, sub-batch)`` per slot owning some of ``batch``'s clusters."""
+        slots = self.backend.num_slots
+        owner = batch.layer.cids[batch.rows] % slots
+        out: List[Tuple[int, Any]] = []
+        for slot in range(slots):
+            rows = batch.rows[owner == slot]
+            if len(rows):
+                out.append((slot, batch.select(rows)))
+        return out
+
+    def _summary_extras(self, slot: int, sub: Any) -> Dict[int, Any]:
+        """Child-cluster summaries ``slot`` needs for ``sub`` but lacks."""
         known = self._known[slot]
+        summaries = sub.summaries
         extra: Dict[int, Any] = {}
-        for cid in cids:
-            for element in by_cid[cid].elements:
-                if element[0] == "cluster" and element[1] not in known:
-                    extra[element[1]] = summaries[element[1]]
+        for cid in sub.sub_clusters():
+            if cid not in known:
+                extra[cid] = summaries[cid]
         known.update(extra)
         return extra
 
-    def solve_layer(self, clusters: Sequence[Any], summaries: Dict[int, Any]) -> List[Any]:
-        """Summaries of one layer's clusters, aligned with ``clusters``."""
-        if self._degraded:
-            return self._inline_solve(clusters, summaries)
-        slots = self.backend.num_slots
-        by_cid = {c.cid: c for c in clusters}
-        obs = self.obs
+    def _messages(
+        self, parts: List[Tuple[int, Any]], make: Callable[[int, Any], Tuple[str, Any]]
+    ) -> List[Optional[Tuple[str, Any]]]:
+        messages: List[Optional[Tuple[str, Any]]] = [None] * self.backend.num_slots
+        for slot, sub in parts:
+            messages[slot] = make(slot, sub)
+        return messages
 
-        def _attempt() -> List[Any]:
-            batches: List[List[int]] = [[] for _ in range(slots)]
-            for cluster in clusters:
-                batches[self._owner(cluster.cid)].append(cluster.cid)
-            messages: List[Optional[Tuple[str, Any]]] = []
-            for slot in range(slots):
-                cids = batches[slot]
-                if not cids:
-                    messages.append(None)
-                    continue
-                extra = self._summary_extras(slot, cids, by_cid, summaries)
-                self._known[slot].update(cids)
-                messages.append(("dp_solve", (self.skey, cids, extra)))
-            with obs.trace("exec.dp_solve", clusters=len(clusters)):
+    def solve_layer(self, batch: Any) -> Tuple[List[Any], int]:
+        """Summaries of one layer batch (row order) and their routed words."""
+        if self._degraded:
+            out: Tuple[List[Any], int] = self.solver.summarize_layer(batch)
+            return out
+        obs = self.obs
+        layer = batch.layer.layer
+
+        def _attempt() -> Tuple[List[Any], int]:
+            parts = self._slot_batches(batch)
+
+            def make(slot: int, sub: Any) -> Tuple[str, Any]:
+                extra = self._summary_extras(slot, sub)
+                self._known[slot].update(sub.cids)
+                return ("dp_solve", (self.skey, layer, sub.rows, extra, sub.sizer))
+
+            messages = self._messages(parts, make)
+            with obs.trace("exec.dp_solve", clusters=len(batch)):
                 replies = self.backend._call_each(messages, obs=obs)
-            out: Dict[int, Any] = {}
-            for reply in replies:
-                for cid, summary in reply:
-                    out[cid] = summary
-            return [out[c.cid] for c in clusters]
+            by_cid: Dict[int, Any] = {}
+            words = 0
+            for (_slot, sub), (summaries, w) in zip(parts, replies):
+                by_cid.update(zip(sub.cids, summaries))
+                words += w
+            return [by_cid[cid] for cid in batch.cids], words
 
         t0 = clock.now() if obs.enabled else 0.0
         try:
-            result = self.backend.supervised(
+            result: Tuple[List[Any], int] = self.backend.supervised(
                 f"dp_solve:{self.skey}", _attempt, self._reestablish
             )
         except ExecBackendError as exc:
             self._degrade(f"dp_solve:{self.skey}", exc)
-            return self._inline_solve(clusters, summaries)
+            result = self.solver.summarize_layer(batch)
+            return result
         if obs.enabled:
             obs.metrics.histogram("repro_exec_call_seconds", cmd="dp_solve").observe(
                 clock.now() - t0
@@ -1137,78 +1151,58 @@ class ProcessDPSession:
         return result
 
     def label_layer(
-        self, items: Sequence[Tuple[Any, Any, Any]], summaries: Dict[int, Any]
-    ) -> Dict[int, Dict]:
-        """Internal labels of one layer: ``{cid: {element: label}}``.
+        self, batch: Any, out_labels: Sequence[Any], in_labels: Sequence[Any]
+    ) -> Tuple[List[Any], int]:
+        """Labels of one layer batch's internal edges (``batch.edges`` order).
 
-        ``items`` is ``(cluster, out_label, in_label)`` per cluster; each is
-        labelled on its owning worker.  Summary deltas ride along exactly
-        like the solve phase's, so a worker respawned after the bottom-up
-        pass can rebuild the contexts (and recompute the traces) it lost.
+        Each cluster is labelled on its owning worker.  Summary deltas ride
+        along exactly like the solve phase's, so a worker respawned after
+        the bottom-up pass can re-solve the backpointers it lost.
         """
         if self._degraded:
-            return self._inline_labels(items, summaries)
-        slots = self.backend.num_slots
-        by_cid = {cluster.cid: cluster for cluster, _o, _i in items}
+            out: Tuple[List[Any], int] = self.solver.label_layer(batch, out_labels, in_labels)
+            return out
         obs = self.obs
+        layer = batch.layer.layer
+        row_pos = {int(r): i for i, r in enumerate(batch.rows.tolist())}
 
-        def _attempt() -> Dict[int, Dict]:
-            batches: List[List[Tuple[int, Any, Any]]] = [[] for _ in range(slots)]
-            for cluster, out_label, in_label in items:
-                batches[self._owner(cluster.cid)].append(
-                    (cluster.cid, out_label, in_label)
-                )
-            messages: List[Optional[Tuple[str, Any]]] = []
-            for slot in range(slots):
-                batch = batches[slot]
-                if not batch:
-                    messages.append(None)
-                    continue
-                extra = self._summary_extras(
-                    slot, [cid for cid, _o, _i in batch], by_cid, summaries
-                )
-                messages.append(("dp_labels", (self.skey, batch, extra)))
-            with obs.trace("exec.dp_labels", clusters=len(items)):
+        def _attempt() -> Tuple[List[Any], int]:
+            parts = self._slot_batches(batch)
+
+            def make(slot: int, sub: Any) -> Tuple[str, Any]:
+                pos = [row_pos[r] for r in sub.rows.tolist()]
+                outs = [out_labels[i] for i in pos]
+                ins = [in_labels[i] for i in pos]
+                extra = self._summary_extras(slot, sub)
+                return ("dp_labels", (self.skey, layer, sub.rows, outs, ins, extra, sub.sizer))
+
+            messages = self._messages(parts, make)
+            with obs.trace("exec.dp_labels", clusters=len(batch)):
                 replies = self.backend._call_each(messages, obs=obs)
-            labels: Dict[int, Dict] = {}
-            for reply in replies:
-                for cid, cluster_labels in reply:
-                    labels[cid] = cluster_labels
-            return labels
+            # Reassemble the slots' labels in the batch's edge order.
+            placed = [batch.edge_positions(sub) for _slot, sub in parts]
+            labels: List[Any] = [None] * sum(len(at) for at in placed)
+            words = 0
+            for at, (slot_labels, w) in zip(placed, replies):
+                for i, lab in zip(at.tolist(), slot_labels):
+                    labels[i] = lab
+                words += w
+            return labels, words
 
         t0 = clock.now() if obs.enabled else 0.0
         try:
-            result = self.backend.supervised(
+            result: Tuple[List[Any], int] = self.backend.supervised(
                 f"dp_labels:{self.skey}", _attempt, self._reestablish
             )
         except ExecBackendError as exc:
             self._degrade(f"dp_labels:{self.skey}", exc)
-            return self._inline_labels(items, summaries)
+            result = self.solver.label_layer(batch, out_labels, in_labels)
+            return result
         if obs.enabled:
             obs.metrics.histogram("repro_exec_call_seconds", cmd="dp_labels").observe(
                 clock.now() - t0
             )
         return result
-
-    # -- inline fallback -------------------------------------------------- #
-
-    def _inline_solve(self, clusters: Sequence[Any], summaries: Dict[int, Any]) -> List[Any]:
-        ctxs = [
-            _worker_context(self.engine_state, summaries, cluster.cid)
-            for cluster in clusters
-        ]
-        return self.solver.summarize_layer(ctxs)
-
-    def _inline_labels(
-        self, items: Sequence[Tuple[Any, Any, Any]], summaries: Dict[int, Any]
-    ) -> Dict[int, Dict]:
-        labels: Dict[int, Dict] = {}
-        for cluster, out_label, in_label in items:
-            ctx = _worker_context(self.engine_state, summaries, cluster.cid)
-            labels[cluster.cid] = self.solver.assign_internal_labels(
-                ctx, out_label, in_label
-            )
-        return labels
 
     def _degrade(self, what: str, exc: ExecBackendError) -> None:
         self._degraded = True

@@ -63,16 +63,12 @@ class ServerConfig:
     cache_entries:
         LRU bound forwarded to each member solver's payload-value-keyed
         rule caches; ``None`` keeps the ``REPRO_DP_CACHE_ENTRIES`` default.
-    trace_entries:
-        LRU bound forwarded to each member solver's bottom-up trace memo;
-        ``None`` keeps it bounded by the clustering's cluster count.
     """
 
     max_batch: Optional[int] = None
     max_delay: Optional[float] = None
     queue_limit: Optional[int] = None
     cache_entries: Optional[int] = None
-    trace_entries: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_batch is None:
@@ -93,7 +89,5 @@ class ServerConfig:
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.queue_limit < 1:  # type: ignore[operator]
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        for name in ("cache_entries", "trace_entries"):
-            bound = getattr(self, name)
-            if bound is not None and bound < 1:
-                raise ValueError(f"{name} must be >= 1 or None, got {bound}")
+        if self.cache_entries is not None and self.cache_entries < 1:
+            raise ValueError(f"cache_entries must be >= 1 or None, got {self.cache_entries}")

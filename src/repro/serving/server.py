@@ -102,7 +102,6 @@ class TreeServer:
             backend=backend,
             fault_plan=fault_plan,
             cache_entries=self.config.cache_entries,
-            trace_entries=self.config.trace_entries,
         )
         self.health = ServerHealth()
         self.store = SnapshotStore()

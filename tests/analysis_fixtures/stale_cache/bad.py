@@ -10,5 +10,5 @@ def patch_edges(tree, patch):
     tree.edge_data.update(patch)
 
 
-def poke_plan(cluster):
-    cluster._hole_plan = None
+def poke_plan(plan):
+    plan._node_inputs = None

@@ -2,15 +2,15 @@
 """Clean: mutators invalidate; the owner class manages its own memos."""
 
 
-def apply_update(tree, cluster, node, value):
+def apply_update(tree, clustering, node, value):
     tree.node_data[node] = value
-    cluster.invalidate_payload_plans()
+    clustering.invalidate_payload_plans(nodes=[node])
 
 
-class Cluster:
+class ClusteringPlan:
     def invalidate_payload_plans(self):
-        self._local_plan = None
-        self._hole_plan = None
+        self._node_inputs = None
+        self._edge_infos = None
 
 
 def read_only(tree, node):

@@ -14,7 +14,9 @@ from repro.dp.kernels.dense_local import DenseClusterKernel
 from repro.dp.local_solver import FiniteStateClusterSolver
 from repro.dp.problem import EdgeInfo, FiniteStateDP, NodeInput
 from repro.dp.semiring import MIN_PLUS
+from repro.mpc.config import MPCConfig
 from repro.mpc.primitives import mpc_max, mpc_min
+from repro.mpc.simulator import MPCSimulator
 from repro.problems.edge_coloring import EdgeColoring
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
 from repro.problems.weighted_max_sat import (
@@ -95,52 +97,66 @@ def test_max_sat_random_clause_sets_property(seed):
 def test_hole_path_batching_actually_runs(monkeypatch):
     """A path tree drives clusters through the batched hole-path scheduler.
 
-    Guards against the scheduler silently degrading to the per-cluster walk
-    (results would stay correct but the tentpole batching would be dead
-    code): at least one stacked hole-path group must be solved.
+    Guards against the scheduler silently degrading to per-element solves
+    (results would stay correct but the batching would be dead code): at
+    least one stacked hole-path group — several clusters' path elements in
+    one kernel call — must be solved.
     """
-    calls = {"mat": 0, "group": 0}
-    orig_mat = DenseClusterKernel._solve_mat_group
-    orig_group = DenseClusterKernel._solve_group
+    from repro.dp.kernels import dense_local
 
-    def count_mat(self, members, tables, traces):
-        calls["mat"] += 1
-        return orig_mat(self, members, tables, traces)
+    stacked = {"mat": 0, "node": 0}
+    orig_mat = DenseClusterKernel._mat_group
+    orig_node = dense_local._NodeGroups._solve
 
-    def count_group(self, sig, members, tables, traces):
-        calls["group"] += 1
-        return orig_group(self, sig, members, tables, traces)
+    def count_mat(self, batch, st, mem, on_path):
+        if on_path and len(mem) > 1:
+            stacked["mat"] += 1
+        return orig_mat(self, batch, st, mem, on_path)
 
-    monkeypatch.setattr(DenseClusterKernel, "_solve_mat_group", count_mat)
-    monkeypatch.setattr(DenseClusterKernel, "_solve_group", count_group)
+    def count_node(self, st, pos, sig, path_j):
+        if path_j >= 0 and len(pos) > 1:
+            stacked["node"] += 1
+        return orig_node(self, st, pos, sig, path_j)
+
+    monkeypatch.setattr(DenseClusterKernel, "_mat_group", count_mat)
+    monkeypatch.setattr(dense_local._NodeGroups, "_solve", count_node)
     tree = gen.with_random_weights(gen.path_tree(300), seed=5)
-    res = solve_on(prepare(tree), MaxWeightIndependentSet(), backend="numpy")
-    assert calls["mat"] + calls["group"] > 0
+    # Inline: the counters observe this process, not pool workers.
+    sim = MPCSimulator(MPCConfig(n=300, exec_backend="inline"))
+    res = solve_on(prepare(tree, sim=sim), MaxWeightIndependentSet(), backend="numpy")
+    assert stacked["mat"] + stacked["node"] > 0
     assert res.value == pytest.approx(
         solve_on(prepare(tree), MaxWeightIndependentSet(), backend="python").value
     )
 
 
-def test_hole_plan_is_ordered_and_cached():
+def test_hole_paths_in_the_layer_plan_are_ordered_and_cached():
+    """Every indegree-one cluster's hole path is compiled hole first, and each
+    path element absorbs its predecessor through its ``path_pos`` slot."""
+    from repro.dp.kernels.plan import HOLE_CHILD
+
     tree = gen.with_random_weights(gen.caterpillar_tree(80), seed=3)
     prepared = prepare(tree)
-    engine = prepared.engine()
+    plan = prepared.engine().plan()
+    assert prepared.engine().plan() is plan  # cached on the clustering
     hc = prepared.clustering
     seen = 0
     for layer in range(1, hc.num_layers + 1):
-        for cluster in hc.clusters_at_layer(layer):
-            ctx = engine.context(cluster, {})
-            plan = ctx.hole_plan()
+        lp = plan.layers[layer]
+        for row, cid in enumerate(lp.cids.tolist()):
+            cluster = hc.clusters[cid]
+            lo, hi = int(lp.elem_ptr[row]), int(lp.elem_ptr[row + 1])
+            on_path = [e for e in range(lo, hi) if lp.depth[e] >= 0]
             if cluster.in_edge is None:
-                assert plan == []
+                assert on_path == [] and lp.hole[row] == -1
                 continue
             seen += 1
-            assert plan[0][1] == cluster.hole_element
-            assert plan[-1][1] == cluster.top_element
-            assert plan[0][3] is None
-            for prev, entry in zip(plan, plan[1:]):
-                assert entry[3] == prev[1]  # each entry absorbs its predecessor
-            assert ctx.hole_plan() is plan  # cached on the cluster
+            path = sorted(on_path, key=lambda e: lp.depth[e])
+            assert [int(lp.depth[e]) for e in path] == list(range(len(path)))
+            assert path[0] == lp.hole[row] and path[-1] == lp.top[row]
+            for prev, e in zip([None] + path, path):
+                slot = lp.child_ptr[e] + lp.path_pos[e]
+                assert lp.child[slot] == (HOLE_CHILD if prev is None else prev)
     assert seen > 0
 
 

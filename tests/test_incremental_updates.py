@@ -435,8 +435,8 @@ def test_full_solve_round_charges_are_unchanged_by_the_partial_api():
 
 
 def test_refresh_releases_solver_memos():
-    """refresh() is the memory valve: value-keyed tensor caches and the
-    trace memo are dropped (and the latter repopulated by the re-solve).
+    """refresh() is the memory valve: value-keyed tensor caches are dropped,
+    while the fixed-size backpointer store is rewritten in place.
 
     Maximum-weight matching's ``transition_key`` embeds the edge weight, so
     a stream of distinct edge-weight updates grows the transition cache by
@@ -449,21 +449,42 @@ def test_refresh_releases_solver_memos():
     inc = IncrementalSolver(prepare(tree, backend="numpy"), MaxWeightMatching())
     dense = inc.solver._dense
     size0 = len(dense.tensors._trans_cache)
+    store0 = dense.trace_store_bytes()
     rng = random.Random(8)
     for i in range(6):
         inc.apply_updates([edge_update(rng.choice(tree.edges()), 2.0 + i + rng.random())])
     assert len(dense.tensors._trans_cache) > size0, "distinct weights must grow the cache"
-    some_cid = next(iter(inc.hc.clusters))
-    assert dense.has_trace(some_cid)
-    dense.forget_traces([some_cid])
-    assert not dense.has_trace(some_cid)
+    assert store0 > 0 and dense.trace_store_bytes() == store0
+    # Forget one layer's backpointers: refresh() re-solves every row.
+    layer_store = next(iter(dense._stores.values()))
+    layer_store.valid[:] = False
 
     inc.refresh()
     # Cleared by refresh(), then lazily repopulated only with the weights
     # still present in the tree (bounded by the live payload set).
     assert len(dense.tensors._trans_cache) <= size0 + 6
-    assert dense.has_trace(some_cid)  # the full re-solve repopulated traces
+    assert layer_store.valid.all()  # the full re-solve rewrote the rows
+    assert dense.trace_store_bytes() == store0
     ref = solve(tree, MaxWeightMatching())
+    got = inc.as_pipeline_result()
+    assert (got.value, got.edge_labels) == (ref.value, ref.edge_labels)
+
+
+def test_relabel_resolves_forgotten_backpointers():
+    """Labeling a cluster whose backpointer rows are gone (a respawned pool
+    worker's case) re-solves those rows first and stays bit-identical."""
+    tree = _weighted_random_tree(120, 31)
+    inc = IncrementalSolver(prepare(tree, backend="numpy"), MaxWeightIndependentSet())
+    dense = inc.solver._dense
+    for st in dense._stores.values():
+        st.valid[:] = False
+    misses0 = dense.trace_misses
+    nodes = sorted(tree.nodes())
+    inc.apply_updates([node_update(nodes[3], 50.0), node_update(nodes[40], 0.5)])
+    assert dense.trace_misses > misses0
+    tree.node_data[nodes[3]] = 50.0
+    tree.node_data[nodes[40]] = 0.5
+    ref = solve(tree, MaxWeightIndependentSet())
     got = inc.as_pipeline_result()
     assert (got.value, got.edge_labels) == (ref.value, ref.edge_labels)
 

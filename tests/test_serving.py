@@ -16,8 +16,8 @@ The acceptance contract of :mod:`repro.serving`:
   :class:`~repro.dynamic.ConcurrentUpdateError` instead of corrupting
   state;
 * a long update stream holds **flat memory**: the dense kernel's
-  payload-value-keyed caches and trace memo stay at their LRU bounds over
-  a 1000-batch soak.
+  payload-value-keyed caches stay at their LRU bounds and its backpointer
+  store at its clustering-fixed size over a 1000-batch soak.
 
 The whole file runs on the deployment default exec backend, so the CI
 ``serving`` job re-runs it under ``REPRO_EXEC_BACKEND=process``; the chaos
@@ -457,20 +457,17 @@ def test_soak_1000_batches_flat_memory():
     1000 batches while staying bit-identical to from-scratch solves.
     MaxWeightMatching declares no affine decomposition, so every distinct
     edge weight is a distinct cache key — the worst case."""
-    # The n=48 tree clusters into 8; trace_bound=4 makes the memo genuinely
-    # contended so evictions (and transparent recompute) are exercised.
-    n, bound, trace_bound = 48, 32, 4
+    n, bound = 48, 32
     tree = _tree(n=n, seed=27)
     prepared = _prepared(tree, n)
-    inc = prepared.incremental(
-        MaxWeightMatching(), cache_entries=bound, trace_entries=trace_bound
-    )
+    inc = prepared.incremental(MaxWeightMatching(), cache_entries=bound)
     dense = inc.solver._dense
     assert dense is not None
     edges = [(v, tree.parent[v]) for v in sorted(tree.nodes()) if v != tree.root]
     rng = random.Random(1)
 
     sizes_at = {}
+    traces_at = {}
     for batch in range(1, 1001):
         # A fresh, never-seen weight each batch: the unbounded cache would
         # hold ~1000 transition tensors by the end.
@@ -480,13 +477,14 @@ def test_soak_1000_batches_flat_memory():
             sizes_at[batch] = dict(dense.tensors.value_cache_sizes())
             for name, size in sizes_at[batch].items():
                 assert size <= bound, f"{name} cache exceeded its bound at batch {batch}"
-            assert len(dense._traces) <= trace_bound
+            traces_at[batch] = dense.trace_store_bytes()
 
     # Flat, not merely bounded: saturated sizes do not creep between probes.
     assert sizes_at[500] == sizes_at[750] == sizes_at[1000]
     assert sizes_at[1000]["transition"] == bound, "the soak never saturated the bound"
     assert dense.tensors.value_cache_evictions() > 500
-    assert dense.trace_evictions > 0
+    # The backpointer store is sized by the clustering: it cannot grow.
+    assert traces_at[500] == traces_at[750] == traces_at[1000] > 0
     # Evictions never cost correctness.
     got = inc.as_pipeline_result()
     ref = solve(tree, MaxWeightMatching())

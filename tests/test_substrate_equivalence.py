@@ -116,7 +116,7 @@ def test_degree2_empty_is_equivalent():
 
 
 def hole_path_of(cluster):
-    """Ordered hole path (hole element first) — the spine of hole_plan()."""
+    """Ordered hole path (hole element first), as the layer plan compiles it."""
     if cluster.hole_element is None:
         return []
     parent = cluster.element_parent()
