@@ -3,11 +3,10 @@
 The test suite samples the repo's correctness invariants; this package
 machine-checks the ones that hold *by construction only if every edit keeps
 the discipline*: data movement must be word/round-charged through the
-simulator, shared-memory views must not outlive their segment, payload
-mutators must invalidate the caches baked from payloads, worker-reachable
-code must stay free of driver state, extremum folds must handle empty record
-sets, and every ``backend``-style dispatch must cover the full literal set
-``MPCConfig`` declares.  Each rule names the historical bug class of this
+simulator, payload mutators must invalidate the caches baked from payloads,
+worker-reachable code must stay free of driver state, extremum folds must
+handle empty record sets, and every ``backend``-style dispatch must cover the
+full literal set ``MPCConfig`` declares.  Each rule names the historical bug class of this
 repository it encodes — see ``docs/ANALYSIS.md``.
 
 Run it as ``python -m repro.analysis src/`` (or ``python tools/mpclint.py``

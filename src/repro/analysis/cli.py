@@ -24,9 +24,9 @@ def _parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "mpclint: AST-based checks of this repository's MPC-simulation "
-            "disciplines (word/round charging, shm view lifetimes, cache "
-            "invalidation, worker/driver isolation, extremum safety, backend "
-            "dispatch parity)."
+            "disciplines (word/round charging, cache invalidation, "
+            "worker/driver isolation, extremum safety, backend dispatch "
+            "parity, bounded waits, traced clocks, config docs)."
         ),
     )
     p.add_argument(

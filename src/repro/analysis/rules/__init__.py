@@ -12,7 +12,6 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     backend_parity,
     config_docs,
     raw_extremum,
-    shm_view_escape,
     stale_cache,
     unbounded_wait,
     uncharged_communication,

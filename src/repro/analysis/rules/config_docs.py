@@ -3,8 +3,9 @@
 **History.**  PR 6 added ``tools/check_config_docs.py``: every ``MPCConfig``
 field must appear (backticked) in ``docs/CONFIG.md``, because the config
 surface was drifting ahead of its documentation.  This module folds that
-standalone script into the analyzer as a first-class rule;
-``tools/check_config_docs.py`` remains as a thin shim over it.
+standalone script into the analyzer as a first-class rule, and the script
+is gone: the blocking mpclint run over ``src/`` is the one place the check
+runs.
 
 **Check.**  Parse the dataclass fields of ``MPCConfig`` from the AST of
 ``repro.mpc.config`` (annotated class-level assignments, ``init=False``

@@ -1,18 +1,21 @@
 """Rule ``worker-driver-isolation``.
 
-**History.**  PR 5's process backend imports ``repro.mpc.exec.ops`` inside
-worker processes.  Workers must stay cheap to spawn and semantically inert:
-they execute array kernels over shared memory and nothing else.  During
-bring-up, an import edge from worker-reachable code into the simulator
-would have dragged the whole driver (accounting state, cluster caches,
-incremental memos) into every worker — wrong (divergent accounting,
-un-shared caches) and slow (import cost per spawn).  The seam held by
+**History.**  The process backend runs code inside worker processes.
+Workers must stay cheap to start and semantically inert: they evaluate DP
+layer batches over the clustering the driver shipped them and nothing
+else.  During bring-up, an import edge from worker-reachable code into the
+simulator would have dragged the driver's accounting state (round and word
+books, incremental memos, serving state) into every worker — wrong
+(divergent accounting) and slow (import cost per spawn).  The seam held by
 convention; this rule pins it.
 
 **Check.**  Build the project import graph, take the modules reachable from
-the worker entry set (``repro.mpc.exec.ops``), and flag any import edge
-from a reachable module into a driver-only module (simulator, machine,
-darray, tree ops, DP engine, clustering, incremental layer).  Both
+the worker entry set (``repro.mpc.exec.pool``, which holds the worker
+command loop), and flag any import edge from a reachable module into a
+driver-only module: the accounting side — simulator, machine, darray,
+primitives, both treeops backends, the DP engine, the clustering builder,
+the incremental layer, the pipeline and the server.  Workers run DP layer
+code by design, so ``repro.dp`` outside the engine stays allowed.  Both
 top-level and function-local imports count: a lazy import still executes in
 the worker.
 """
@@ -27,22 +30,23 @@ from repro.analysis.project import ModuleContext, Project
 
 __all__ = ["WorkerIsolationRule"]
 
-#: Modules imported by worker processes (the spawn-side entry surface).
-WORKER_ENTRY_MODULES = ("repro.mpc.exec.ops",)
+#: Modules holding the worker entry point (``_worker_main``).
+WORKER_ENTRY_MODULES = ("repro.mpc.exec.pool",)
 
-#: Driver-only module prefixes: simulation/accounting state, record-model
-#: machinery, and everything holding per-run caches or memos.
+#: Driver-only module prefixes: the accounting side — simulation state,
+#: record-model machinery, and everything holding per-run memos.
 DRIVER_ONLY_PREFIXES = (
     "repro.mpc.simulator",
     "repro.mpc.machine",
     "repro.mpc.darray",
     "repro.mpc.primitives",
     "repro.mpc.treeops",
-    "repro.dp",
+    "repro.mpc.treeops_array",
+    "repro.dp.engine",
+    "repro.clustering.builder",
     "repro.dynamic",
     "repro.core",
-    "repro.clustering",
-    "repro.trees",
+    "repro.serving",
 )
 
 
@@ -87,8 +91,8 @@ class WorkerIsolationRule(ProjectRule):
     meta = RuleMeta(
         name="worker-driver-isolation",
         summary=(
-            "code reachable from the worker entry (repro.mpc.exec.ops) must "
-            "not import driver-only modules (simulator, accounting, caches)"
+            "code reachable from the worker entry (repro.mpc.exec.pool) must "
+            "not import driver-only modules (simulator, accounting, memos)"
         ),
         rationale=(
             "PR 5 seam: dragging simulator/accounting state into spawned "

@@ -9,8 +9,8 @@ Two placements are honored:
 * ``disable-next-line``, on its own line immediately above (for lines where
   a trailing comment would not fit)::
 
-      # mpclint: disable-next-line=shm-view-escape -- caller copies out
-      return np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+      # mpclint: disable-next-line=raw-extremum -- loads is never empty here
+      worst = max(loads)
 
 A justification after ``--`` is required: a suppression is a recorded
 decision, not an off switch.  Suppressions that never fire are themselves

@@ -26,8 +26,8 @@ model:
   vectorized integer-array path of :mod:`~repro.mpc.treeops_array`
   (bit-identical outputs and round accounting, evaluated driver-side).
 * :mod:`~repro.mpc.words` prices records in machine words; the
-  ``MPCConfig.accounting`` mode chooses between the exact reference walker,
-  the structural fast sizer (default) and no accounting.
+  ``MPCConfig.accounting`` mode chooses between the exact reference walker
+  and the structural fast sizer (default).
 """
 
 from repro.mpc.config import MPCConfig

@@ -56,10 +56,9 @@ class MPCConfig:
         ``"fast"`` (default) uses the structural sizer of
         :mod:`repro.mpc.words` (O(1) fast paths for homogeneous scalar sets,
         cached ``__mpc_words__`` sizes honoured), ``"exact"`` uses the
-        recursive reference walker, ``"off"`` disables word pricing entirely
-        (peak/violation statistics stay zero; round counting is unaffected).
-        Fast and exact observe identical peaks on every payload the substrate
-        ships — the equivalence test-suite asserts it.
+        recursive reference walker.  Fast and exact observe identical peaks
+        on every payload the substrate ships — the equivalence test-suite
+        asserts it.
     treeops_backend:
         Implementation of the distributed tree subroutines
         (:mod:`repro.mpc.treeops`): ``"array"`` (default) runs the vectorized
@@ -83,28 +82,28 @@ class MPCConfig:
         Ignored when ``treeops_backend="records"`` (loads are observed
         natively there).
     exec_backend:
-        Where driver-evaluated superstep compute runs (see
+        Where the DP engine's per-layer batches of a full solve run (see
         :mod:`repro.mpc.exec`): ``"inline"`` evaluates everything in the
         driver process (the default and the reference behaviour);
-        ``"process"`` fans the array supersteps of the tree subroutines and
-        the DP engine's per-layer batches out to a persistent
-        shared-memory ``multiprocessing`` worker pool, one worker per
-        simulated machine group.  Both backends produce bit-identical
+        ``"process"`` fans the batches out to a persistent
+        ``multiprocessing`` worker pool, each worker owning the clusters
+        ``cid % exec_workers``.  The tree subroutines of the clustering run
+        on the driver under both.  Both backends produce bit-identical
         values, labels and :class:`~repro.mpc.simulator.RoundStats` — the
         simulator stays the accounting oracle either way.  Left ``None``,
         the value is read from the ``REPRO_EXEC_BACKEND`` environment
         variable (default ``"inline"``).
     exec_workers:
         Worker count of the ``"process"`` pool.  Left ``None``, the value
-        is read from ``REPRO_EXEC_WORKERS``, else a small multiple of the
-        visible CPU cores is used.  Ignored by the inline backend.
+        is read from ``REPRO_EXEC_WORKERS``, else the visible CPU core
+        count clamped to [2, 4] is used.  Ignored by the inline backend.
     exec_retries:
         Supervision ladder of the ``"process"`` pool: how many times a
-        failed superstep call or DP layer batch is re-dispatched (after a
+        failed session open or DP layer batch is re-dispatched (after a
         backoff and, for a dead or hung worker, a pool rebuild) before the
         session degrades to a warn-once inline fallback.  The calls are
-        idempotent — inputs live driver-side or in shared memory — so
-        retries cannot change a bit of the result.  Left ``None``, read
+        idempotent — their inputs live driver-side — so retries cannot
+        change a bit of the result.  Left ``None``, read
         from ``REPRO_EXEC_RETRIES`` (default 2).  ``0`` disables retries:
         the first failure falls through the ladder.
     exec_backoff:
@@ -174,10 +173,8 @@ class MPCConfig:
             raise ValueError(
                 f"dp_backend must be 'auto', 'numpy' or 'python', got {self.dp_backend!r}"
             )
-        if self.accounting not in ("exact", "fast", "off"):
-            raise ValueError(
-                f"accounting must be 'exact', 'fast' or 'off', got {self.accounting!r}"
-            )
+        if self.accounting not in ("exact", "fast"):
+            raise ValueError(f"accounting must be 'exact' or 'fast', got {self.accounting!r}")
         if self.treeops_backend not in ("array", "records"):
             raise ValueError(
                 f"treeops_backend must be 'array' or 'records', got {self.treeops_backend!r}"

@@ -2,48 +2,38 @@
 
 The MPC substrate separates *accounting* from *execution*:
 :class:`~repro.mpc.simulator.MPCSimulator` prices rounds and words — it is
-the model oracle — while an :class:`ExecBackend` decides where the machine
-compute of the driver-evaluated supersteps actually runs.  Two backends:
+the model oracle — while an :class:`ExecBackend` decides where the per-layer
+DP batches of a full solve actually run.  Two backends:
 
-* ``"inline"`` (:class:`InlineBackend`, the default) evaluates every op in
-  the driver process, byte-for-byte today's behaviour;
-* ``"process"`` (:class:`~repro.mpc.exec.pool.ProcessBackend`) fans the row
-  slices of the flat superstep arrays and the per-layer DP batches out to a
-  persistent ``multiprocessing`` worker pool over shared memory.
+* ``"inline"`` (:class:`InlineBackend`, the default) evaluates every batch
+  in the driver process;
+* ``"process"`` (:class:`~repro.mpc.exec.pool.ProcessBackend`) fans the
+  per-layer DP batches out to a persistent ``multiprocessing`` worker pool.
 
-The contract both must satisfy: identical outputs, labels and
+The array treeops of the clustering (:mod:`repro.mpc.treeops_array`) always
+run on the driver: the simulator charges their rounds the same wherever
+their compute runs, and that compute is a negligible share of a solve.
+
+The contract both backends must satisfy: identical outputs, labels and
 :class:`~repro.mpc.simulator.RoundStats` for every pipeline — the substrate
 equivalence suite runs under both.
 
-Two units of work exist:
-
-* an **array session** (:meth:`ExecBackend.array_session`) holds the flat
-  NumPy arrays of one treeops subroutine for the duration of its doubling
-  loop and executes named ops from :data:`~repro.mpc.exec.ops.OPS` over the
-  machine-group row partition;
-* a **DP session** (:meth:`ExecBackend.dp_session`) pins one solver and one
-  clustering for the duration of one engine solve and executes the per-layer
-  summary/label batches.  Backends may return ``None`` to decline (the
-  engine then runs the layer batches inline), which is also the graceful
-  fallback when a problem cannot be shipped to workers.
+The unit of work is a **DP session** (:meth:`ExecBackend.dp_session`): it
+pins one solver and one clustering for the duration of one engine solve and
+executes the per-layer summary/label batches.  Backends may return ``None``
+to decline (the engine then runs the layer batches inline), which is also
+the graceful fallback when a problem cannot be shipped to workers.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from repro.mpc.exec.ops import OPS
+from typing import Any, Dict, Optional
 
 __all__ = [
     "ExecBackendError",
     "ExecWorkerFailure",
     "ExecWorkerRaised",
-    "ArraySession",
-    "InlineArraySession",
     "ExecBackend",
     "InlineBackend",
     "INLINE",
@@ -81,72 +71,10 @@ class ExecWorkerRaised(ExecBackendError):
         self.kind = "error"
 
 
-class ArraySession:
-    """Handle on the arrays of one treeops subroutine invocation.
-
-    Attributes
-    ----------
-    arrays:
-        Logical name -> live NumPy array.  For the inline backend these are
-        the caller's arrays; for the process backend they are shared-memory
-        views that both the driver and the workers address.  The driver is
-        free to read and mutate them between :meth:`run` calls (that is how
-        copy-backs and reduce applications are expressed).
-    """
-
-    arrays: Dict[str, np.ndarray]
-
-    def run(self, op: str, **extra: Any) -> None:
-        """Execute one named op over the full row range (all machine groups)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release session resources (always safe to call, idempotent)."""
-        raise NotImplementedError
-
-
-class InlineArraySession(ArraySession):
-    """Driver-evaluated array session: one slot covering every row."""
-
-    def __init__(
-        self,
-        arrays: Dict[str, np.ndarray],
-        rows: int,
-        scratch: Optional[Dict[str, Tuple[Tuple[int, ...], Any]]] = None,
-    ) -> None:
-        self.arrays = dict(arrays)
-        self.rows = rows
-        for name, (shape, dtype) in (scratch or {}).items():
-            self.arrays[name] = np.zeros((1,) + tuple(shape), dtype=dtype)
-
-    def run(self, op: str, **extra: Any) -> None:
-        OPS[op](self.arrays, 0, self.rows, 0, **extra)
-
-    def close(self) -> None:
-        pass
-
-
 class ExecBackend:
-    """Where driver-evaluated superstep compute runs (see module docstring)."""
+    """Where the DP layer batches of a full solve run (see module docstring)."""
 
     name: str = "abstract"
-
-    def array_session(
-        self,
-        arrays: Dict[str, np.ndarray],
-        rows: int,
-        num_machines: int,
-        scratch: Optional[Dict[str, Tuple[Tuple[int, ...], Any]]] = None,
-        obs: Optional[Any] = None,
-    ) -> ArraySession:
-        """Open a session over ``arrays`` partitioned into machine groups.
-
-        ``scratch`` maps extra array names to ``(shape, dtype)``; each is
-        allocated with a leading per-slot axis (``(slots, *shape)``) for
-        reduce-style partial results.  ``obs`` is the deployment's
-        :class:`~repro.obs.ObsContext` (or ``None``); see :meth:`dp_session`.
-        """
-        raise NotImplementedError
 
     def dp_session(
         self, engine_state: Dict[str, Any], solver: Any, obs: Optional[Any] = None
@@ -160,7 +88,7 @@ class ExecBackend:
         return None
 
     def close(self) -> None:
-        """Shut the backend down (workers, segments). Idempotent."""
+        """Shut the backend down (workers). Idempotent."""
 
 
 class InlineBackend(ExecBackend):
@@ -168,53 +96,20 @@ class InlineBackend(ExecBackend):
 
     name = "inline"
 
-    def array_session(
-        self,
-        arrays: Dict[str, np.ndarray],
-        rows: int,
-        num_machines: int,
-        scratch: Optional[Dict[str, Tuple[Tuple[int, ...], Any]]] = None,
-        obs: Optional[Any] = None,
-    ) -> InlineArraySession:
-        return InlineArraySession(arrays, rows, scratch)
-
 
 #: Shared inline backend instance (stateless).
 INLINE = InlineBackend()
 
 
 def default_workers() -> int:
-    """Default process-pool size: a small multiple of the visible cores."""
+    """Default process-pool size: the visible core count, clamped to [2, 4]."""
     return max(2, min(4, os.cpu_count() or 1))
 
 
-_FALLBACK_WARNED = False
-
-
 def resolve_backend(config: Any) -> ExecBackend:
-    """The :class:`ExecBackend` selected by ``config.exec_backend``.
-
-    ``"process"`` on a platform without working POSIX shared memory falls
-    back to the inline backend with a :class:`RuntimeWarning` (once per
-    process) instead of failing: execution placement is a performance
-    choice, never a correctness requirement.
-    """
+    """The :class:`ExecBackend` selected by ``config.exec_backend``."""
     backend = getattr(config, "exec_backend", "inline")
     if backend != "process":
-        return INLINE
-    from repro.mpc.exec import shm
-
-    if not shm.shm_available():
-        global _FALLBACK_WARNED
-        if not _FALLBACK_WARNED:
-            _FALLBACK_WARNED = True
-            warnings.warn(
-                "exec_backend='process' requires multiprocessing.shared_memory, "
-                "which is unavailable on this platform; falling back to the "
-                "inline execution backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return INLINE
     from repro.mpc.exec.pool import ProcessBackend
 
@@ -227,20 +122,3 @@ def resolve_backend(config: Any) -> ExecBackend:
         heartbeat=getattr(config, "exec_heartbeat", None),
         faults=getattr(config, "exec_faults", None),
     )
-
-
-def machine_group_bounds(rows: int, num_machines: int, slots: int) -> List[Tuple[int, int]]:
-    """Contiguous row ranges of each worker slot's machine group.
-
-    Mirrors :meth:`MPCSimulator.scatter`'s even placement: ``per =
-    ceil(rows / num_machines)`` records per machine, machines split into
-    ``slots`` contiguous groups.  ``per * num_machines >= rows`` always, so
-    the last group ends exactly at ``rows``.
-    """
-    per = max(1, -(-rows // max(1, num_machines)))
-    bounds: List[Tuple[int, int]] = []
-    for w in range(slots):
-        m_lo = (w * num_machines) // slots
-        m_hi = ((w + 1) * num_machines) // slots
-        bounds.append((min(m_lo * per, rows), min(m_hi * per, rows)))
-    return bounds

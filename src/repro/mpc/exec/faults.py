@@ -32,9 +32,11 @@ be killed), ``drop`` (swallow the reply and go silent) or ``raise``/
 ``poison`` (raise :class:`InjectedFault` while handling the command).
 ``call`` is the 0-based ordinal of supervised messages the driver has sent
 to that slot; ``cmd`` optionally restricts the match to one protocol
-command (``op``, ``attach``, ``dp_solve``, ...), so ``raise@*:0:attach``
-is a shared-memory attach failure and ``poison@*:2:dp_solve`` a poisoned
-DP batch.  Site faults fire in driver-side code that calls
+command (``tree_state``, ``dp_open``, ``dp_solve``, ``dp_labels``, ...).
+On a fresh pool a slot's call 0 is ``tree_state``, call 1 ``dp_open`` and
+call 2 the first ``dp_solve`` batch, so ``raise@*:1:dp_open`` is a failed
+session open and ``poison@*:2:dp_solve`` a poisoned DP batch.  A ``cmd``
+that no call at that ordinal carries never fires.  Site faults fire in driver-side code that calls
 :meth:`FaultPlan.check_site` (the incremental update path uses the
 ``update-layer`` site to poison an update batch mid-pass).
 """

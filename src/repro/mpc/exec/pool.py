@@ -1,20 +1,18 @@
 """Supervised multiprocessing worker pool — the ``"process"`` exec backend.
 
-One worker per simulated *machine group*: the pool holds ``W`` long-lived
-processes, each connected to the driver by a duplex pipe, and each owning a
-contiguous block of the simulated machines.  Treeops superstep state is
-shipped once per subroutine as shared-memory NumPy views (never pickled);
-per-layer DP batches ship their deltas (new summaries in, new summaries /
-labels out) over the pipes.  The driver remains the synchronisation barrier:
-it applies copy-backs, evaluates convergence predicates and charges rounds
-through :class:`~repro.mpc.simulator.MPCSimulator` exactly as the inline
-backend does, which is what keeps the two backends' `RoundStats`
-bit-identical.
+The pool holds ``W`` long-lived worker processes, each connected to the
+driver by a duplex pipe.  A full solve ships the clustering once per pool
+(``tree_state``), opens a DP session on every worker (``dp_open``) and then
+fans each layer's batch out by cluster ownership (``cid % W``): new
+summaries in, new summaries / labels out, over the pipes.  The driver
+remains the synchronisation barrier: it charges rounds and words through
+:class:`~repro.mpc.simulator.MPCSimulator` exactly as the inline backend
+does, which is what keeps the two backends' `RoundStats` bit-identical.
 
-Failure model — the supervision ladder.  Every session operation (a
-superstep call, an shm attach, a DP layer batch) is *idempotent*: its
-inputs live driver-side or in driver-owned shared memory, so re-dispatching
-it cannot change a bit of the result.  Supervision exploits that:
+Failure model — the supervision ladder.  Every session operation (a tree
+state shipment, a session open, a DP layer batch) is *idempotent*: its
+inputs live driver-side, so re-dispatching it cannot change a bit of the
+result.  Supervision exploits that:
 
 1. **Retry within the pool** — a worker that raises a Python exception
    reports its traceback and stays alive; the batch is re-dispatched on the
@@ -22,12 +20,12 @@ it cannot change a bit of the result.  Supervision exploits that:
 2. **Rebuild the pool** — a worker that dies (killed, OOM, segfault), goes
    silent past the heartbeat window, or exceeds the hard call deadline
    leaves the pipe protocol undefined; the pool is torn down, respawned,
-   the session re-established (shm re-attached, tree state and DP session
-   re-shipped) and the batch re-dispatched.
+   the session re-established (tree state and DP session re-shipped) and
+   the batch re-dispatched.
 3. **Inline fallback** — after ``retries`` failed attempts the session
-   degrades, with a once-per-process :class:`RuntimeWarning`, to executing
-   the remaining work inline on the driver over the *same* machine-group
-   partition — still bit-identical, just no longer parallel.
+   degrades, with a once-per-process :class:`RuntimeWarning`, to evaluating
+   the remaining batches inline on the driver over the same layer plan —
+   still bit-identical, just no longer parallel.
 
 Liveness is heartbeat-based, not deadline-based: workers ack progress every
 ``heartbeat`` seconds while executing a command, so a hang is detected
@@ -43,7 +41,8 @@ the reply / raises at exactly that coordinate.
 Lifetime: pools are process-global singletons keyed by every exec knob
 (worker count, start method, timeouts, retry policy, fault plan), so
 changing any of them mid-process yields a distinct pool instead of being
-silently ignored.  ``atexit`` stops every pool; workers are daemonic as a
+silently ignored.  A pool forks its workers lazily, at the first DP session
+that needs them.  ``atexit`` stops every pool; workers are daemonic as a
 backstop.
 """
 
@@ -64,23 +63,18 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.mpc.exec.base import (
-    ArraySession,
     ExecBackend,
     ExecBackendError,
     ExecWorkerFailure,
     ExecWorkerRaised,
-    InlineArraySession,
-    machine_group_bounds,
 )
 from repro.mpc.exec.faults import ExecHealth, FaultPlan, InjectedFault
-from repro.mpc.exec.ops import OPS
-from repro.mpc.exec.shm import SharedArrayRegistry, attach_view, detach_view
 from repro.obs import clock
 from repro.obs.context import OBS_OFF
 from repro.obs.dump import dump_file
 from repro.obs.spans import worker_span
 
-__all__ = ["ProcessBackend", "ProcessArraySession", "ProcessDPSession"]
+__all__ = ["ProcessBackend", "ProcessDPSession"]
 
 _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
@@ -161,8 +155,6 @@ def _worker_main(
             except Exception:
                 pass
     parent = os.getppid()
-    arrays: Dict[str, np.ndarray] = {}
-    segments: Dict[str, Any] = {}
     tree_states: Dict[Any, Dict[str, Any]] = {}
     dp_sessions: Dict[Any, Dict[str, Any]] = {}
 
@@ -203,7 +195,7 @@ def _worker_main(
         kind = fault.get("kind") if fault else None
         drop_reply = False
         if kind == "kill":
-            # Simulated SIGKILL mid-superstep: no reply, no cleanup.
+            # Simulated SIGKILL mid-command: no reply, no cleanup.
             os.kill(os.getpid(), signal.SIGKILL)
         elif kind == "hang":
             # Go silent: no pickup ack, no heartbeats, just sleep.  The
@@ -236,29 +228,7 @@ def _worker_main(
                 raise InjectedFault(
                     f"injected fault on worker {slot} handling {cmd!r}"
                 )
-            if cmd == "op":
-                op, lo, hi, extra = payload
-                OPS[op](arrays, lo, hi, slot, **extra)
-            elif cmd == "attach":
-                for logical, shm_name, shape, dtype_str in payload:
-                    stale = segments.pop(logical, None)
-                    if stale is not None:
-                        # Re-attach after a retry: drop the previous handle
-                        # first so nothing keeps the old mapping alive.
-                        arrays.pop(logical, None)
-                        detach_view(stale)
-                    seg, view = attach_view(shm_name, shape, dtype_str)
-                    # mpclint: disable-next-line=shm-view-escape -- worker session cache; the matching "detach" command drops both before close
-                    segments[logical] = seg
-                    # mpclint: disable-next-line=shm-view-escape -- worker session cache; the matching "detach" command drops both before close
-                    arrays[logical] = view
-            elif cmd == "detach":
-                for logical in payload:
-                    arrays.pop(logical, None)
-                    seg = segments.pop(logical, None)
-                    if seg is not None:
-                        detach_view(seg)
-            elif cmd == "tree_state":
+            if cmd == "tree_state":
                 key, blob = payload
                 tree_states[key] = pickle.loads(blob)
             elif cmd == "tree_drop":
@@ -305,10 +275,7 @@ def _worker_main(
                     # driver re-bases it onto its own clock (rel=0 pins the
                     # span at the driver's send time) and re-parents it.
                     attrs: Dict[str, Any] = {"slot": slot}
-                    if cmd == "op":
-                        attrs["op"] = payload[0]
-                        attrs["rows"] = payload[2] - payload[1]
-                    elif cmd in ("dp_solve", "dp_labels"):
+                    if cmd in ("dp_solve", "dp_labels"):
                         attrs["n"] = len(payload[2])
                     span = worker_span(
                         f"worker.{cmd}", 0.0, clock.now() - t_cmd, **attrs
@@ -329,8 +296,6 @@ def _worker_main(
             except Exception:
                 break
     hb_stop.set()
-    for seg in segments.values():
-        detach_view(seg)
     try:
         conn.close()
     except Exception:
@@ -420,7 +385,7 @@ class _Worker:
             if not self.proc.is_alive():
                 raise ExecWorkerFailure(
                     f"exec worker {self.slot} (pid {self.proc.pid}) died "
-                    f"mid-superstep (exitcode {self.proc.exitcode})",
+                    f"mid-call (exitcode {self.proc.exitcode})",
                     slot=self.slot,
                     kind="died",
                 )
@@ -760,7 +725,7 @@ class ProcessBackend(ExecBackend):
         ``attempt`` must be safe to re-run from scratch (the calls are
         idempotent by construction) and should rebuild its messages each
         time; ``reestablish`` restores worker-side session state before a
-        retry (re-attach shm, re-ship tree state, re-open the DP session)
+        retry (re-ship tree state, re-open the DP session)
         and runs whether the pool survived (worker raised) or was rebuilt
         (worker died/hung).  Raises the last error once attempts are
         exhausted — callers then take the inline-fallback rung.
@@ -809,20 +774,6 @@ class ProcessBackend(ExecBackend):
                 lambda s=stat: float(getattr(health, s)),
                 stat=stat,
             )
-
-    # -- array sessions --------------------------------------------------- #
-
-    def array_session(
-        self,
-        arrays: Dict[str, np.ndarray],
-        rows: int,
-        num_machines: int,
-        scratch: Optional[Dict[str, Tuple[Tuple[int, ...], Any]]] = None,
-        obs: Optional[Any] = None,
-    ) -> ArraySession:
-        if rows <= 0:
-            return InlineArraySession(arrays, rows, scratch)
-        return ProcessArraySession(self, arrays, rows, num_machines, scratch, obs)
 
     # -- DP sessions ------------------------------------------------------ #
 
@@ -914,113 +865,6 @@ class ProcessBackend(ExecBackend):
         return ProcessDPSession(
             self, skey, tree_key, engine_state, solver, solver_blob, obs
         )
-
-
-class ProcessArraySession(ArraySession):
-    """Shared-memory array session over the worker pool, supervised.
-
-    The driver owns every shm segment (workers merely attach), so segments
-    survive any number of worker deaths: a retry re-attaches the respawned
-    pool to the same pages and re-dispatches the op.  When the ladder is
-    exhausted the session degrades to running the ops inline on the driver
-    over the *same* ``(lo, hi, slot)`` partition — same scratch rows, same
-    arithmetic, bit-identical results.
-    """
-
-    def __init__(
-        self,
-        backend: ProcessBackend,
-        arrays: Dict[str, np.ndarray],
-        rows: int,
-        num_machines: int,
-        scratch: Optional[Dict[str, Tuple[Tuple[int, ...], Any]]] = None,
-        obs: Optional[Any] = None,
-    ) -> None:
-        self.backend = backend
-        self.rows = rows
-        self.obs = obs if obs is not None else OBS_OFF
-        if self.obs.enabled:
-            backend.register_health_gauges(self.obs)
-        self.registry = SharedArrayRegistry()
-        self.arrays: Dict[str, np.ndarray] = {}
-        self._attached = False
-        self._degraded = False
-        workers = backend._ensure_pool()
-        slots = len(workers)
-        self.bounds = machine_group_bounds(rows, num_machines, slots)
-        try:
-            for name, arr in arrays.items():
-                self.arrays[name] = self.registry.create(name, like=np.ascontiguousarray(arr))
-            for name, (shape, dtype) in (scratch or {}).items():
-                self.arrays[name] = self.registry.create(
-                    name, shape=(slots,) + tuple(shape), dtype=dtype
-                )
-        except BaseException:
-            # Segment allocation failed: unlink whatever was created.
-            self.registry.destroy()
-            raise
-        try:
-            backend.supervised("attach", self._attach)
-            self._attached = True
-        except ExecBackendError as exc:
-            self._degrade("attach", exc)
-
-    def _attach(self) -> None:
-        self.backend._call_all("attach", self.registry.specs())
-
-    def run(self, op: str, **extra: Any) -> None:
-        if self._degraded:
-            self._run_inline(op, extra)
-            return
-        obs = self.obs
-
-        def _attempt() -> None:
-            with obs.trace("exec.op", op=op, fanout=len(self.bounds)):
-                self.backend._call_each(
-                    [("op", (op, lo, hi, extra)) for lo, hi in self.bounds], obs=obs
-                )
-
-        def _reestablish() -> None:
-            self._attach()
-            self._attached = True
-
-        t0 = clock.now() if obs.enabled else 0.0
-        try:
-            self.backend.supervised(f"op:{op}", _attempt, _reestablish)
-        except ExecBackendError as exc:
-            self._degrade(f"op:{op}", exc)
-            self._run_inline(op, extra)
-            return
-        if obs.enabled:
-            obs.metrics.histogram("repro_exec_call_seconds", cmd="op").observe(
-                clock.now() - t0
-            )
-
-    def _run_inline(self, op: str, extra: Dict[str, Any]) -> None:
-        # Same partition as the pool would use — ops only see (lo, hi, slot),
-        # so the fallback cannot change a bit (scratch rows included).
-        fn = OPS[op]
-        for slot, (lo, hi) in enumerate(self.bounds):
-            fn(self.arrays, lo, hi, slot, **extra)
-
-    def _degrade(self, what: str, exc: ExecBackendError) -> None:
-        self._degraded = True
-        self.backend.health.record_inline_fallback(what)
-        _warn_inline_fallback(f"array session {what}", exc)
-        self._detach_workers()
-
-    def _detach_workers(self) -> None:
-        if self._attached:
-            self._attached = False
-            try:
-                if self.backend._workers:
-                    self.backend._call_all("detach", [s[0] for s in self.registry.specs()])
-            except ExecBackendError:
-                pass  # pool already torn down; unlink below still runs
-
-    def close(self) -> None:
-        self._detach_workers()
-        self.registry.destroy()
 
 
 class ProcessDPSession:

@@ -141,11 +141,11 @@ class MPCSimulator:
     def executor(self):
         """The execution backend selected by ``config.exec_backend`` (lazy).
 
-        Execution placement (inline vs. the shared process pool, see
-        :mod:`repro.mpc.exec`) is orthogonal to accounting: whichever
-        backend evaluates a superstep's compute, rounds and words are
-        charged here, and both backends are bit-identical in outputs and
-        statistics.
+        Execution placement of the DP layer batches (inline vs. the shared
+        process pool, see :mod:`repro.mpc.exec`) is orthogonal to
+        accounting: whichever backend evaluates a batch, rounds and words
+        are charged here, and both backends are bit-identical in outputs
+        and statistics.
         """
         if self._executor is None:
             from repro.mpc.exec import resolve_backend

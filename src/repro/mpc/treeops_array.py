@@ -20,15 +20,11 @@ memory observations of the record path (its state lives in flat arrays, not
 in simulated partitions); capacity studies therefore use
 ``treeops_backend="records"``.
 
-**Execution placement.**  Each doubling step's machine-local compute is one
-named op of :mod:`repro.mpc.exec.ops`, executed through the simulator's
-:attr:`~repro.mpc.simulator.MPCSimulator.executor` backend: inline on the
-driver (default), or sliced over the shared-memory worker pool when
-``MPCConfig.exec_backend="process"`` — one contiguous machine group of rows
-per worker.  The ops are pure functions of the previous iteration's arrays
-(double-buffered as ``new_*``), so the partitioning cannot change a single
-bit; the driver stays the barrier, performing the copy-backs, the
-convergence predicates and the ``tick_rounds`` charging between ops.
+**Execution placement.**  Each doubling step is whole-array NumPy on the
+driver, and the driver charges the step's rounds through ``tick_rounds``
+right after it.  Every step computes its new arrays from the previous
+iteration's arrays before any of them is replaced, so a step reads one
+consistent state, as a synchronous superstep does.
 
 The vectorization follows the structure of the doubling proofs themselves:
 
@@ -90,36 +86,20 @@ def compute_depths_array(
     else:
         limit = max(1, 2 + int(math.ceil(math.log2(max(2, n)))))
 
-    session = sim.executor.array_session(
-        {
-            "jump": jump,
-            "dist": dist,
-            "new_jump": np.empty_like(jump),
-            "new_dist": np.empty_like(dist),
-        },
-        rows=n,
-        num_machines=sim.num_machines,
-        obs=sim.obs,
-    )
-    try:
-        jump = session.arrays["jump"]
-        dist = session.arrays["dist"]
-        for _ in range(limit):
-            # One doubling step = the reference path's self-join (2 group_by
-            # rounds) followed by its convergence convergecast (1 reduce round).
-            session.run("depths_step")
-            jump[...] = session.arrays["new_jump"]
-            dist[...] = session.arrays["new_dist"]
-            sim.tick_rounds(2, label="group_by")
-            unfinished = int(np.count_nonzero((jump != ids) & (jump != ridx)))
-            sim.tick_rounds(1, label="reduce")
-            if unfinished == 0:
-                break
-        # Copy out before close: closing unmaps the backing segment, so the
-        # session's views must not be dereferenced afterwards.
-        dist_list = dist.tolist()
-    finally:
-        session.close()
+    for _ in range(limit):
+        # One doubling step = the reference path's self-join (2 group_by
+        # rounds) followed by its convergence convergecast (1 reduce round).
+        at_self = jump == ids
+        dist, jump = (
+            np.where(at_self, dist, dist + dist[jump]),
+            np.where(at_self, jump, jump[jump]),
+        )
+        sim.tick_rounds(2, label="group_by")
+        unfinished = int(np.count_nonzero((jump != ids) & (jump != ridx)))
+        sim.tick_rounds(1, label="reduce")
+        if unfinished == 0:
+            break
+    dist_list = dist.tolist()
 
     depths = {v: dist_list[i] for i, v in enumerate(nodes)}
     depths[root] = 0
@@ -155,37 +135,27 @@ def capped_subtree_gather_array(
 
     limit = max(1, 2 + int(math.ceil(math.log2(max(2, cap + 2)))))
 
-    session = sim.executor.array_session(
-        {"anc": anc, "s": s, "new_anc": np.empty_like(anc)},
-        rows=n,
-        num_machines=sim.num_machines,
-        scratch={"contrib": ((n,), np.int64)},
-        obs=sim.obs,
-    )
-    try:
-        anc = session.arrays["anc"]
-        s = session.arrays["s"]
-        contrib = session.arrays["contrib"]
-        for _ in range(limit):
-            valid = anc >= 0
-            has_frontier = np.zeros(n, dtype=bool)
-            has_frontier[anc[valid]] = True
-            any_active = bool(np.any((s <= cap) & has_frontier))
-            # Convergence convergecast ("is any machine still growing a set?").
-            sim.tick_rounds(1, label="reduce")
-            if not any_active:
-                break
-            # Request/response join (2 rounds) + state/response co-group (2).
-            sim.tick_rounds(4, label="group_by")
-            session.run("gather_step", n=n)
-            s[...] = s + contrib.sum(axis=0)
-            anc[...] = session.arrays["new_anc"]
-        # Copy out before close: closing unmaps the backing segment, so the
-        # session's views must not be dereferenced afterwards.
-        anc = anc.copy()
-        s = s.copy()
-    finally:
-        session.close()
+    for _ in range(limit):
+        valid = anc >= 0
+        tgt = anc[valid]
+        has_frontier = np.zeros(n, dtype=bool)
+        has_frontier[tgt] = True
+        any_active = bool(np.any((s <= cap) & has_frontier))
+        # Convergence convergecast ("is any machine still growing a set?").
+        sim.tick_rounds(1, label="reduce")
+        if not any_active:
+            break
+        # Request/response join (2 rounds) + state/response co-group (2).
+        sim.tick_rounds(4, label="group_by")
+        # The weights are integer-valued floats far below 2^53, so the
+        # float64 histogram is exact.
+        contrib = np.bincount(
+            tgt, weights=(s[valid] - 1).astype(np.float64), minlength=n
+        ).astype(np.int64)
+        nxt = np.full(n, -1, dtype=np.int64)
+        nxt[valid] = anc[tgt]
+        s = s + contrib
+        anc = nxt
 
     valid = anc >= 0
     has_frontier = np.zeros(n, dtype=bool)
@@ -229,6 +199,26 @@ def capped_subtree_gather_array(
     return result
 
 
+def _degree2_advance(
+    t: np.ndarray, d: np.ndarray, done: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One doubling step of one direction of ``degree2_path_positions_array``.
+
+    ``(t, d, done)`` are one direction's anchor/distance/done arrays; the
+    rule transcribes the record path's ``advance_up``/``advance_dn``
+    element-wise.
+    """
+    t_done = done[t]
+    t_d = d[t]
+    t_t = t[t]
+    anchored = np.where(t_d == 0, t, t_t)
+    return (
+        np.where(done, t, np.where(t_done, anchored, t_t)),
+        np.where(done, d, d + t_d),
+        done | t_done,
+    )
+
+
 def degree2_path_positions_array(
     sim: MPCSimulator,
     path_parent: Dict[Hashable, Optional[Hashable]],
@@ -260,43 +250,19 @@ def degree2_path_positions_array(
         else:
             dn_t[i], dn_d[i], dn_done[i] = idx[down], 1, False
 
-    arrays = {
-        "up_t": up_t,
-        "up_d": up_d,
-        "up_done": up_done,
-        "dn_t": dn_t,
-        "dn_d": dn_d,
-        "dn_done": dn_done,
-    }
-    arrays.update({"new_" + k: np.empty_like(a) for k, a in list(arrays.items())})
-
     limit = max(1, 2 + int(math.ceil(math.log2(max(2, n)))))
-    session = sim.executor.array_session(
-        arrays, rows=n, num_machines=sim.num_machines, obs=sim.obs
-    )
-    try:
-        A = session.arrays
-        for _ in range(limit):
-            unfinished = int(np.count_nonzero(~(A["up_done"] & A["dn_done"])))
-            sim.tick_rounds(1, label="reduce")
-            if unfinished == 0:
-                break
-
-            # Upward then downward doubling (each a self-join: 2 group_by
-            # rounds); the advance rule lives in
-            # :func:`repro.mpc.exec.ops._degree2_advance`.
-            session.run("degree2_advance", prefix="up")
-            for k in ("up_t", "up_d", "up_done"):
-                A[k][...] = A["new_" + k]
-            sim.tick_rounds(2, label="group_by")
-            session.run("degree2_advance", prefix="dn")
-            for k in ("dn_t", "dn_d", "dn_done"):
-                A[k][...] = A["new_" + k]
-            sim.tick_rounds(2, label="group_by")
-        up_t_l, up_d_l = A["up_t"].tolist(), A["up_d"].tolist()
-        dn_t_l, dn_d_l = A["dn_t"].tolist(), A["dn_d"].tolist()
-    finally:
-        session.close()
+    for _ in range(limit):
+        unfinished = int(np.count_nonzero(~(up_done & dn_done)))
+        sim.tick_rounds(1, label="reduce")
+        if unfinished == 0:
+            break
+        # Upward then downward doubling (each a self-join: 2 group_by rounds).
+        up_t, up_d, up_done = _degree2_advance(up_t, up_d, up_done)
+        sim.tick_rounds(2, label="group_by")
+        dn_t, dn_d, dn_done = _degree2_advance(dn_t, dn_d, dn_done)
+        sim.tick_rounds(2, label="group_by")
+    up_t_l, up_d_l = up_t.tolist(), up_d.tolist()
+    dn_t_l, dn_d_l = dn_t.tolist(), dn_d.tolist()
 
     out: Dict[Hashable, Tuple[Hashable, int, Hashable, int]] = {}
     for i, v in enumerate(nodes):

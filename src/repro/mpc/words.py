@@ -27,7 +27,7 @@ attribute; both sizers treat it as authoritative, which gives higher layers
 an O(1) accounting path for large composite records.
 
 The per-mode record sizers are selected with :func:`record_sizer`
-(``"exact"``, ``"fast"`` or ``"off"``).
+(``"exact"`` or ``"fast"``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "ACCOUNTING_MODES",
 ]
 
-ACCOUNTING_MODES = ("exact", "fast", "off")
+ACCOUNTING_MODES = ("exact", "fast")
 
 #: Machine-word bounds: integers inside this range cost exactly one word.
 _WORD_MIN = -(2**63)
@@ -153,22 +153,12 @@ def fast_record_words(records: Iterable[Any]) -> int:
     return sum(fast_word_size(r) for r in records)
 
 
-def _zero_words(_records: Iterable[Any]) -> int:
-    return 0
-
-
-def _zero_word(_obj: Any) -> int:
-    return 0
-
-
 def scalar_sizer(mode: str) -> Callable[[Any], int]:
     """The per-object sizer for an accounting mode."""
     if mode == "exact":
         return word_size
     if mode == "fast":
         return fast_word_size
-    if mode == "off":
-        return _zero_word
     raise ValueError(f"accounting mode must be one of {ACCOUNTING_MODES}, got {mode!r}")
 
 
@@ -178,6 +168,4 @@ def record_sizer(mode: str) -> Callable[[Iterable[Any]], int]:
         return record_words
     if mode == "fast":
         return fast_record_words
-    if mode == "off":
-        return _zero_words
     raise ValueError(f"accounting mode must be one of {ACCOUNTING_MODES}, got {mode!r}")

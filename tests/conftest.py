@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.mpc import MPCConfig, MPCSimulator
@@ -29,37 +31,33 @@ def simulator():
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _no_shm_leaks():
-    """Suite-wide invariant: every shared-memory segment is unlinked.
+def _env_fault_plan_fired():
+    """With ``REPRO_EXEC_FAULTS`` set, the run must show that its plan fired.
 
-    The process exec backend creates one POSIX shm segment per superstep
-    array; a leak would accumulate in /dev/shm across runs.  Sessions must
-    unlink on every path (success, worker death, driver exception), so after
-    the whole suite — whichever backends it exercised — nothing may remain.
+    A chaos run injects its faults through the environment into every
+    process pool a config builds.  A spec whose coordinates no call reaches
+    (a command that no longer exists, an ordinal past the last call) would
+    inject nothing and pass silently, so the session fails unless some pool
+    built from that spec consumed every entry of its plan.
     """
+    spec = os.environ.get("REPRO_EXEC_FAULTS", "")
     yield
-    from repro.mpc.exec import shm
-
-    leaked = shm.leaked_segments()
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-
-@pytest.fixture(autouse=True)
-def _no_shm_leaks_per_chaos_test(request):
-    """Per-test shm-leak check for the chaos suite.
-
-    The session-scoped check above would let a leak hide until the end of
-    the run (and could not attribute it); chaos tests kill workers at
-    deterministic coordinates, so each one asserts immediately that every
-    teardown/retry path it exercised unlinked its segments.
-    """
-    yield
-    if request.node.get_closest_marker("chaos") is None:
+    if not spec.strip():
         return
-    from repro.mpc.exec import shm
+    from repro.mpc.exec.pool import ProcessBackend
 
-    leaked = shm.leaked_segments()
-    assert not leaked, f"chaos test leaked shared-memory segments: {leaked}"
+    plans = [
+        backend.fault_plan
+        for backend in ProcessBackend._shared.values()
+        if backend._ever_built
+        and backend.fault_plan is not None
+        and backend.fault_plan.spec == spec
+    ]
+    assert plans, f"REPRO_EXEC_FAULTS={spec!r}: no process pool was built from it"
+    assert any(plan.remaining() == 0 for plan in plans), (
+        f"REPRO_EXEC_FAULTS={spec!r} never fired completely; left over per pool: "
+        f"{[plan.to_spec() for plan in plans]}"
+    )
 
 
 def make_sim(n: int, delta: float = 0.5, **kw) -> MPCSimulator:

@@ -133,10 +133,10 @@ def test_multi_rule_suppression(tmp_path):
         tmp_path,
         "# mpclint: module=repro.mpc.fixture_tmp\n"
         "def worst(loads):\n"
-        "    return max(loads)  # mpclint: disable=raw-extremum, shm-view-escape -- one real, one stale\n",
+        "    return max(loads)  # mpclint: disable=raw-extremum, unbounded-wait -- one real, one stale\n",
     )
     report = _run(tmp_path)
-    # raw-extremum fires and is silenced; shm-view-escape never fires there.
+    # raw-extremum fires and is silenced; unbounded-wait never fires there.
     assert [f.rule for f in report.findings] == ["unused-suppression"]
     assert report.suppressions_used == 1
 
@@ -207,7 +207,6 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for name in (
         "uncharged-communication",
-        "shm-view-escape",
         "stale-cache-invalidation",
         "worker-driver-isolation",
         "raw-extremum",

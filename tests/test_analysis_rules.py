@@ -36,14 +36,6 @@ TRUE_POSITIVES = {
             ("raw-extremum", "raw_extremum/bad.py", 15),
         ],
     ),
-    "shm-view-escape": (
-        [FIXTURES / "shm_view_escape" / "bad.py"],
-        [
-            ("shm-view-escape", "shm_view_escape/bad.py", 11),
-            ("shm-view-escape", "shm_view_escape/bad.py", 12),
-            ("shm-view-escape", "shm_view_escape/bad.py", 18),
-        ],
-    ),
     "stale-cache-invalidation": (
         [FIXTURES / "stale_cache" / "bad.py"],
         [
@@ -66,7 +58,8 @@ TRUE_POSITIVES = {
                 "worker_isolation/bad/helper.py",
                 3,
             ),
-            ("worker-driver-isolation", "worker_isolation/bad/ops.py", 4),
+            ("worker-driver-isolation", "worker_isolation/bad/pool.py", 4),
+            ("worker-driver-isolation", "worker_isolation/bad/pool.py", 8),
         ],
     ),
     "backend-literal-parity": (
@@ -97,7 +90,6 @@ TRUE_POSITIVES = {
 
 CLEAN = {
     "raw-extremum": [FIXTURES / "raw_extremum" / "good.py"],
-    "shm-view-escape": [FIXTURES / "shm_view_escape" / "good.py"],
     "stale-cache-invalidation": [FIXTURES / "stale_cache" / "good.py"],
     "uncharged-communication": [FIXTURES / "uncharged_communication" / "good.py"],
     "worker-driver-isolation": [FIXTURES / "worker_isolation" / "good"],
@@ -172,4 +164,4 @@ def test_rule_metadata_complete():
 def test_select_restricts_rules():
     paths, expected = TRUE_POSITIVES["raw-extremum"]
     assert _findings(paths, select=["raw-extremum"]) == expected
-    assert _findings(paths, select=["shm-view-escape"]) == []
+    assert _findings(paths, select=["unbounded-wait"]) == []

@@ -1,4 +1,4 @@
-"""Process execution backend: equivalence, failure modes and shm hygiene.
+"""Process execution backend: equivalence and failure modes.
 
 The tentpole contract — inline and process backends are bit-identical in
 values, labels and :class:`~repro.mpc.simulator.RoundStats` — is exercised
@@ -6,41 +6,36 @@ end-to-end here (the full substrate-equivalence suite additionally runs
 under ``REPRO_EXEC_BACKEND=process`` in CI).  On top of that, this module
 pins down the failure model:
 
-* a worker killed mid-superstep is *healed* by the supervision ladder (the
-  pool is rebuilt, the idempotent call re-dispatched) with the kill visible
-  only in the pool's :class:`~repro.mpc.exec.ExecHealth` report; with
-  retries disabled it degrades to the warn-once inline fallback instead of
-  hanging (the deterministic fault-injection matrix lives in
-  :mod:`tests.test_exec_faults`);
-* shared-memory segments are always unlinked, even on the error paths (a
-  session-scoped fixture in :mod:`tests.conftest` asserts no segment leaks
-  the whole suite);
-* a platform without POSIX shared memory degrades to the inline backend
-  with a one-time :class:`RuntimeWarning`;
+* a worker killed mid-session is *healed* by the supervision ladder (the
+  pool is rebuilt, the session re-opened and the idempotent layer batch
+  re-dispatched) with the kill visible only in the pool's
+  :class:`~repro.mpc.exec.ExecHealth` report; with retries disabled it
+  degrades to the warn-once inline fallback instead of hanging (the
+  deterministic fault-injection matrix lives in :mod:`tests.test_exec_faults`);
 * a problem that cannot be pickled degrades to inline layer batches with a
-  one-time :class:`RuntimeWarning`, with identical results.
+  one-time :class:`RuntimeWarning`, with identical results;
+* the pool starts no helper process besides its workers (no
+  multiprocessing resource tracker).
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.pipeline import prepare, solve_on
 from repro.dynamic import node_update
 from repro.mpc.config import MPCConfig
-from repro.mpc.exec import ExecBackendError, resolve_backend
-from repro.mpc.exec import base as exec_base
-from repro.mpc.exec import shm
-from repro.mpc.exec.base import INLINE, machine_group_bounds
+from repro.mpc.exec import ExecBackendError
 from repro.mpc.exec.pool import ProcessBackend
 from repro.mpc.simulator import MPCSimulator
-from repro.mpc.treeops_array import compute_depths_array
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
 from repro.trees import generators as gen
 
@@ -124,79 +119,87 @@ def test_incremental_updates_after_process_solve():
 # --------------------------------------------------------------------------- #
 
 
-def _depths_inputs(n: int, seed: int):
-    tree = gen.random_attachment_tree(n, seed=seed)
-    parent = {v: tree.parent[v] for v in tree.nodes() if v != tree.root}
-    parent[tree.root] = tree.root
-    return parent, tree.root
+def _solve_dp_with(tree, backend=None, after_open=None):
+    """(result fields, stats fields) of a solve whose DP phase runs on ``backend``.
+
+    The tree is prepared inline; ``backend`` (``None``: inline) is swapped in
+    for the solve.  ``after_open`` runs once the DP session is open on every
+    worker, before its first layer batch is dispatched.
+    """
+    sim = MPCSimulator(MPCConfig(n=max(4, len(tree.nodes()))))
+    prepared = prepare(tree, sim=sim)
+    if backend is not None:
+        sim._executor = backend
+        if after_open is not None:
+
+            def opened(*args, **kwargs):
+                del backend.dp_session  # one-shot: later solves open as usual
+                session = backend.dp_session(*args, **kwargs)
+                after_open()
+                return session
+
+            backend.dp_session = opened
+    res = solve_on(prepared, MaxWeightIndependentSet())
+    outcome = (res.value, res.root_label, dict(res.node_labels), dict(res.edge_labels))
+    stats = tuple(
+        dict(v) if isinstance(v := getattr(sim.stats, f), dict) else v for f in _STAT_FIELDS
+    )
+    return outcome, stats
+
+
+def _tree(seed: int):
+    return gen.with_random_weights(gen.random_attachment_tree(200, seed=seed), seed=seed)
 
 
 def test_killed_worker_heals_via_rebuild():
-    """SIGKILL mid-session → the supervision ladder respawns the pool and the
-    retried call succeeds; the kill is visible only in the health report."""
+    """SIGKILL mid-session → the supervision ladder respawns the pool, re-opens
+    the session and the retried layer batch succeeds; the kill is visible
+    only in the health report."""
+    reference = _solve_dp_with(_tree(3))
     backend = ProcessBackend(2)
     try:
         pids = backend.worker_pids()
         assert len(pids) == 2 and all(p > 0 for p in pids)
 
-        arr = np.arange(64, dtype=np.int64)
-        session = backend.array_session(
-            {"jump": arr, "dist": arr.copy(), "new_jump": arr.copy(), "new_dist": arr.copy()},
-            rows=64,
-            num_machines=8,
-        )
-        os.kill(pids[0], signal.SIGKILL)
         t0 = time.monotonic()
-        # Liveness polling detects the death, rebuilds the pool, re-attaches
-        # the same shm segments and re-dispatches — long before the call
-        # deadline and without surfacing an error.
-        session.run("depths_step")
+        # Liveness polling detects the death, rebuilds the pool, re-ships the
+        # tree state, re-opens the DP session and re-dispatches — long before
+        # the call deadline and without surfacing an error.
+        got = _solve_dp_with(
+            _tree(3), backend, after_open=lambda: os.kill(pids[0], signal.SIGKILL)
+        )
         assert time.monotonic() - t0 < 30.0
+        assert got == reference
         assert backend.health.worker_deaths >= 1
         assert backend.health.rebuilds >= 1
         assert backend.health.inline_fallbacks == 0
         new_pids = backend.worker_pids()
         assert new_pids != pids
         assert all(_alive(p) for p in new_pids)
-        session.close()
-        assert shm.leaked_segments() == []
 
         # The rebuilt pool keeps working for fresh sessions, bit-identically.
-        sim = MPCSimulator(MPCConfig(n=128))
-        sim._executor = backend
-        parent, root = _depths_inputs(128, seed=3)
-        depths = compute_depths_array(sim, dict(parent), root)
-
-        sim2 = MPCSimulator(MPCConfig(n=128))
-        assert depths == compute_depths_array(sim2, dict(parent), root)
+        assert _solve_dp_with(_tree(4), backend) == _solve_dp_with(_tree(4))
     finally:
         backend.close()
 
 
 def test_killed_worker_without_retries_raises_cleanly():
-    """retries=0 restores the old contract: death surfaces as
-    ExecBackendError promptly and close() still unlinks every segment."""
+    """retries=0: the first death exhausts the ladder, so the session
+    degrades inline (warn-once) instead of failing the solve or hanging."""
+    reference = _solve_dp_with(_tree(5))
     backend = ProcessBackend(2, retries=0)
     try:
         pids = backend.worker_pids()
-        arr = np.arange(64, dtype=np.int64)
-        session = backend.array_session(
-            {"jump": arr, "dist": arr.copy(), "new_jump": arr.copy(), "new_dist": arr.copy()},
-            rows=64,
-            num_machines=8,
-        )
-        os.kill(pids[0], signal.SIGKILL)
         t0 = time.monotonic()
         with warnings.catch_warnings():
-            # Zero retries means the ladder is already exhausted: the session
-            # degrades inline (warn-once) instead of failing the solve.
             warnings.simplefilter("ignore", RuntimeWarning)
-            session.run("depths_step")
+            got = _solve_dp_with(
+                _tree(5), backend, after_open=lambda: os.kill(pids[0], signal.SIGKILL)
+            )
         assert time.monotonic() - t0 < 30.0
+        assert got == reference
         assert backend.health.worker_deaths == 1
         assert backend.health.inline_fallbacks == 1
-        session.close()
-        assert shm.leaked_segments() == []
     finally:
         backend.close()
 
@@ -214,32 +217,64 @@ def test_worker_exception_surfaces_traceback():
     backend = ProcessBackend(2)
     try:
         backend.worker_pids()
-        with pytest.raises(ExecBackendError, match="no-such-op"):
-            backend._call_all("op", ("no-such-op", 0, 0, {}))
+        with pytest.raises(ExecBackendError, match="no-such-session"):
+            backend._call_all("dp_solve", ("no-such-session", 1, [], {}, None))
     finally:
         backend.close()
 
 
-def test_sessions_unlink_segments_on_success():
-    """The normal path leaves nothing behind in /dev/shm."""
-    cfg = MPCConfig(n=256, exec_backend="process", exec_workers=2)
-    sim = MPCSimulator(cfg)
-    parent, root = _depths_inputs(256, seed=8)
-    compute_depths_array(sim, parent, root)
-    assert shm.leaked_segments() == []
+def test_prepare_forks_no_worker_until_the_first_dp_session():
+    """The clustering's tree subroutines run on the driver, so prepare()
+    on a process config builds no pool; the first pooled solve forks it."""
+    tree = _tree(6)
+    # A call timeout no other test uses keys a pool of this test's own.
+    cfg = MPCConfig(n=200, exec_backend="process", exec_workers=2, exec_call_timeout=77.0)
+    prepared = prepare(tree, sim=MPCSimulator(cfg))
+    backend = prepared.sim.executor
+    try:
+        assert backend.name == "process"
+        assert not backend._workers
+        res = solve_on(prepared, MaxWeightIndependentSet())
+        assert len(backend._workers) == 2
+        assert res.value == solve_on(prepare(tree), MaxWeightIndependentSet()).value
+    finally:
+        backend.close()
 
 
-def test_no_shm_platform_falls_back_inline_with_warning(monkeypatch):
-    """shm probe failure → inline backend + one RuntimeWarning per process."""
-    monkeypatch.setattr(shm, "_SHM_OK", False)
-    monkeypatch.setattr(exec_base, "_FALLBACK_WARNED", False)
-    cfg = MPCConfig(n=64, exec_backend="process")
-    with pytest.warns(RuntimeWarning, match="falling back to the inline"):
-        assert resolve_backend(cfg) is INLINE
-    # Warned once; later resolutions stay silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_backend(cfg) is INLINE
+def test_process_backend_starts_no_resource_tracker():
+    """A pooled prepare + solve starts no multiprocessing resource tracker.
+
+    The tracker is a helper process that outlives the pool until every
+    holder of its pipe exits; the pool's pipes and forked workers never
+    need it.  Checked in a fresh interpreter, since any earlier test in
+    this process may have started one.
+    """
+    script = (
+        "from multiprocessing import resource_tracker\n"
+        "from repro.core.pipeline import prepare, solve_on\n"
+        "from repro.mpc.config import MPCConfig\n"
+        "from repro.mpc.simulator import MPCSimulator\n"
+        "from repro.problems.max_weight_independent_set import MaxWeightIndependentSet\n"
+        "from repro.trees import generators as gen\n"
+        "tree = gen.with_random_weights(gen.random_attachment_tree(300, seed=1), seed=1)\n"
+        "cfg = MPCConfig(n=300, exec_backend='process', exec_workers=2, exec_faults='')\n"
+        "prepared = prepare(tree, sim=MPCSimulator(cfg))\n"
+        "solve_on(prepared, MaxWeightIndependentSet())\n"
+        "assert prepared.sim.executor.name == 'process'\n"
+        "print(resource_tracker._resource_tracker._pid)\n"
+        "prepared.sim.executor.close()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "None"
 
 
 def test_unshippable_problem_runs_inline_with_warning():
@@ -260,7 +295,7 @@ def test_unshippable_problem_runs_inline_with_warning():
 
 
 # --------------------------------------------------------------------------- #
-# Configuration and partitioning
+# Configuration
 # --------------------------------------------------------------------------- #
 
 
@@ -316,17 +351,3 @@ def test_config_scaled_carries_exec_fields():
     assert (scaled.exec_retries, scaled.exec_backoff) == (1, 0.25)
     assert (scaled.exec_heartbeat, scaled.exec_call_timeout) == (0.5, 30.0)
     assert scaled.exec_faults == "kill@w0:1"
-
-
-@pytest.mark.parametrize("rows", [0, 1, 7, 64, 1000])
-@pytest.mark.parametrize("slots", [1, 2, 3, 8])
-def test_machine_group_bounds_partition_rows(rows, slots):
-    """Bounds are contiguous, ordered and cover exactly [0, rows)."""
-    num_machines = max(1, rows // 4)
-    bounds = machine_group_bounds(rows, num_machines, slots)
-    assert len(bounds) == slots
-    cursor = 0
-    for lo, hi in bounds:
-        assert lo == cursor and hi >= lo
-        cursor = hi
-    assert cursor == rows

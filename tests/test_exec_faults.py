@@ -9,16 +9,13 @@ contract of the self-healing exec layer:
   every `RoundStats` channel bit-identical to the inline backend;
 * hangs are detected by heartbeat silence in seconds (not the 300s call
   deadline), while slow-but-alive workers are never false-killed;
-* zero shared-memory segments leak on any retry/teardown path (the
-  ``chaos`` marker's conftest fixture re-asserts after every test here);
 * the :class:`~repro.mpc.exec.faults.ExecHealth` report records exactly
   which rungs were taken.
 
 Fault coordinates are deterministic because the driver counts the
-supervised calls it sends per slot: in a pipeline solve, call 0 of every
-slot is the treeops shm ``attach`` and call 1 the first superstep ``op``;
-driving the DP engine directly, call 0 is ``tree_state``, call 1
-``dp_open`` and call 2 the first ``dp_solve`` batch.
+supervised calls it sends per slot: on a fresh pool, call 0 of every slot
+is ``tree_state`` (the first DP session ships the clustering), call 1
+``dp_open`` and call 2 the first ``dp_solve`` layer batch.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from repro.mpc.exec import pool as pool_mod
 from repro.mpc.exec.faults import FaultSpec
 from repro.mpc.exec.pool import ProcessBackend
 from repro.mpc.simulator import MPCSimulator
-from repro.mpc.treeops_array import compute_depths_array
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
 from repro.trees import generators as gen
 
@@ -75,11 +71,11 @@ def _solve_pipeline(tree, **cfg_kw):
 
 
 def _solve_dp_on(tree, backend_obj):
-    """Prepare inline, then run only the DP phase on ``backend_obj``.
+    """Prepare inline, then run the DP phase on ``backend_obj`` (``None``: inline).
 
-    This pins the per-slot call ordinals of the DP protocol (tree_state=0,
-    dp_open=1, first dp_solve=2) independently of how many treeops calls a
-    pipeline would make first.
+    This drives a hand-built pool (its own fault plan or retry policy)
+    through one solve; its per-slot call ordinals are those of any solve on
+    a fresh pool (tree_state=0, dp_open=1, first dp_solve=2).
     """
     sim = MPCSimulator(MPCConfig(n=max(4, len(tree.nodes()))))
     prepared = prepare(tree, sim=sim)
@@ -95,7 +91,7 @@ def _solve_dp_on(tree, backend_obj):
 
 
 def test_faultplan_parse_roundtrip():
-    spec = "kill@w0:2;hang@*:1:op:duration=3;poison@*:0:attach;raise@update-layer:1"
+    spec = "kill@w0:2;hang@*:1:dp_open:duration=3;poison@*:0:tree_state;raise@update-layer:1"
     plan = FaultPlan.parse(spec)
     assert plan is not None and plan.remaining() == 4
     assert plan.spec == spec
@@ -104,7 +100,7 @@ def test_faultplan_parse_roundtrip():
     assert replay is not None
     assert replay.to_spec() == plan.to_spec()
     # poison is an alias of raise.
-    assert "raise@*:0:attach" in plan.to_spec()
+    assert "raise@*:0:tree_state" in plan.to_spec()
 
 
 def test_faultplan_empty_and_invalid_specs():
@@ -116,8 +112,8 @@ def test_faultplan_empty_and_invalid_specs():
         "kill@w0:x",  # non-integer call
         "kill@w0:-1",  # negative call
         "kill@site-name:0",  # site faults can only raise
-        "raise@update-layer:0:op",  # site faults take no command token
-        "kill@w0:1:op:frequency=2",  # unknown option
+        "raise@update-layer:0:dp_solve",  # site faults take no command token
+        "kill@w0:2:dp_solve:frequency=2",  # unknown option
         "kill",  # no '@where:call' at all
     ):
         with pytest.raises(ValueError):
@@ -125,12 +121,12 @@ def test_faultplan_empty_and_invalid_specs():
 
 
 def test_faultplan_consume_once_semantics():
-    plan = FaultPlan.parse("kill@*:1:op")
-    assert plan.take(0, 0, "op") is None  # wrong call
-    assert plan.take(1, 1, "attach") is None  # wrong cmd
-    directive = plan.take(1, 1, "op")
+    plan = FaultPlan.parse("kill@*:2:dp_solve")
+    assert plan.take(0, 1, "dp_solve") is None  # wrong call
+    assert plan.take(1, 2, "dp_labels") is None  # wrong cmd
+    directive = plan.take(1, 2, "dp_solve")
     assert directive is not None and directive["kind"] == "kill"
-    assert plan.take(0, 1, "op") is None  # consumed: fires exactly once
+    assert plan.take(0, 2, "dp_solve") is None  # consumed: fires exactly once
     assert plan.remaining() == 0
 
 
@@ -216,7 +212,7 @@ def test_worker_sigkill_mid_superstep_heals_bit_identical():
         exec_backend="process",
         exec_workers=2,
         exec_backoff=0.01,
-        exec_faults="kill@*:1:op",
+        exec_faults="kill@*:2:dp_solve",
     )
     assert out == ref_out
     for field, a, b in zip(_STAT_FIELDS, ref_stats, stats):
@@ -245,7 +241,7 @@ def test_hung_worker_detected_by_heartbeat_not_deadline():
         exec_backoff=0.01,
         exec_heartbeat=0.1,
         exec_call_timeout=300.0,
-        exec_faults="hang@w0:1:op:duration=30",
+        exec_faults="hang@w0:2:dp_solve:duration=30",
     )
     elapsed = time.monotonic() - t0
     assert out == ref_out and stats == ref_stats
@@ -276,28 +272,28 @@ def test_poisoned_dp_batch_retries_within_pool():
 
 
 @pytest.mark.chaos
-def test_shm_attach_failure_heals():
-    """Fault class 4: a failed shm attach is retried like any worker error."""
-    ref_out, ref_stats, _sim, _res = _solve_pipeline(_tree(seed=8), exec_backend="inline")
-    out, stats, sim, _res = _solve_pipeline(
-        _tree(seed=8),
-        exec_backend="process",
-        exec_workers=2,
-        exec_backoff=0.01,
-        exec_faults="raise@*:0:attach",
-    )
-    assert out == ref_out and stats == ref_stats
-    health = sim.executor.health
-    assert health.worker_errors >= 1
-    assert health.inline_fallbacks == 0
-    sim.executor.close()
+def test_failed_session_open_retries_within_pool():
+    """A worker raising while the DP session opens is retried like any
+    worker error: the open re-runs on the same pool and the solve matches
+    inline exactly."""
+    ref = _solve_dp_on(_tree(seed=8), None)
+    backend = ProcessBackend(2, backoff=0.01, fault_plan=FaultPlan.parse("raise@*:1:dp_open"))
+    try:
+        got = _solve_dp_on(_tree(seed=8), backend)
+        assert got == ref
+        assert backend.health.worker_errors == 1
+        assert backend.health.retries == 1
+        assert backend.health.rebuilds == 0
+        assert backend.health.inline_fallbacks == 0
+    finally:
+        backend.close()
 
 
 @pytest.mark.chaos
 def test_dropped_reply_surfaces_as_hang_and_heals():
     """A computed-but-lost reply is indistinguishable from a hang; the
-    re-dispatch after the rebuild re-runs the op over the same shared
-    arrays — idempotent by construction, so still bit-identical."""
+    re-dispatch after the rebuild re-runs the batch from the driver's
+    summaries — idempotent by construction, so still bit-identical."""
     ref_out, ref_stats, _sim, _res = _solve_pipeline(_tree(seed=9), exec_backend="inline")
     out, stats, sim, _res = _solve_pipeline(
         _tree(seed=9),
@@ -305,7 +301,7 @@ def test_dropped_reply_surfaces_as_hang_and_heals():
         exec_workers=2,
         exec_backoff=0.01,
         exec_heartbeat=0.1,
-        exec_faults="drop@w0:1:op",
+        exec_faults="drop@w0:2:dp_solve",
     )
     assert out == ref_out and stats == ref_stats
     health = sim.executor.health
@@ -324,10 +320,11 @@ def test_slow_worker_is_not_false_killed():
         exec_backend="process",
         exec_workers=2,
         exec_heartbeat=0.1,  # hang window = 1.2s, well under the delay
-        exec_faults="delay@w0:1:op:duration=2.5",
+        exec_faults="delay@w0:2:dp_solve:duration=2.5",
     )
     assert out == ref_out and stats == ref_stats
     health = sim.executor.health
+    assert sim.executor.fault_plan.remaining() == 0  # the delay did fire
     assert health.worker_hangs == 0
     assert health.worker_deaths == 0
     assert health.retries == 0
@@ -347,7 +344,7 @@ def test_ladder_exhaustion_degrades_inline_with_one_warning(monkeypatch):
             exec_backend="process",
             exec_workers=2,
             exec_retries=0,
-            exec_faults="kill@*:1:op",
+            exec_faults="kill@*:2:dp_solve",
         )
     assert out == ref_out and stats == ref_stats
     health = sim.executor.health
@@ -392,17 +389,10 @@ def test_exec_health_report_counts_and_json_artifact(tmp_path, monkeypatch):
     surfaced via PreparedTree.exec_health(), and is dumped as JSON on close
     when REPRO_EXEC_HEALTH_DIR is set."""
     monkeypatch.setenv("REPRO_EXEC_HEALTH_DIR", str(tmp_path))
-    backend = ProcessBackend(2, backoff=0.01, fault_plan=FaultPlan.parse("kill@w0:1:op"))
+    ref = _solve_dp_on(_tree(n=128, seed=3), None)
+    backend = ProcessBackend(2, backoff=0.01, fault_plan=FaultPlan.parse("kill@w0:2:dp_solve"))
     try:
-        sim = MPCSimulator(MPCConfig(n=128))
-        sim._executor = backend
-        tree = gen.random_attachment_tree(128, seed=3)
-        parent = {v: tree.parent[v] for v in tree.nodes() if v != tree.root}
-        parent[tree.root] = tree.root
-        depths = compute_depths_array(sim, dict(parent), tree.root)
-        assert depths == compute_depths_array(
-            MPCSimulator(MPCConfig(n=128)), dict(parent), tree.root
-        )
+        assert _solve_dp_on(_tree(n=128, seed=3), backend) == ref
         assert backend.health.worker_deaths == 1
         assert backend.health.retries == 1
         assert backend.health.rebuilds == 1

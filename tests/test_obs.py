@@ -149,11 +149,11 @@ def test_recorder_nesting_and_attrs():
 
 def test_recorder_ingest_rebases_and_reparents():
     rec = Recorder()
-    with rec.trace("exec.op"):
-        rec.ingest([worker_span("worker.op", 0.0, 0.25, slot=3)], base=100.0)
+    with rec.trace("exec.dp_solve"):
+        rec.ingest([worker_span("worker.dp_solve", 0.0, 0.25, slot=3)], base=100.0)
     by_name = {s["name"]: s for s in rec.to_list()}
-    w = by_name["worker.op"]
-    assert w["parent_id"] == by_name["exec.op"]["span_id"]
+    w = by_name["worker.dp_solve"]
+    assert w["parent_id"] == by_name["exec.dp_solve"]["span_id"]
     assert w["start"] == pytest.approx(100.0)
     assert w["duration"] == pytest.approx(0.25)
     assert w["attrs"]["slot"] == 3

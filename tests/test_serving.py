@@ -32,7 +32,7 @@ import threading
 
 import pytest
 
-from repro.core.pipeline import prepare, solve
+from repro.core.pipeline import prepare, solve, solve_on
 from repro.dynamic import (
     ConcurrentUpdateError,
     IncrementalSolverGroup,
@@ -328,10 +328,11 @@ def test_poisoned_batch_fails_its_futures_and_next_batch_heals():
 @pytest.mark.chaos
 def test_chaos_process_backend_server_heals_bit_identically():
     """The PR-8 ladder under the server: a worker SIGKILLed by a FaultPlan
-    while the process pool builds the clustering, then a driver-side poison
+    during a pooled solve on the deployment, then a driver-side poison
     mid-update-batch.  The server must come up, fail only the poisoned
-    batch and keep every served answer bit-identical.  (Update passes run
-    driver-inline by design, so worker faults target the substrate phase.)
+    batch and keep every served answer bit-identical.  (The server's own
+    solves and update passes run driver-inline by design, so the worker
+    fault targets a full solve on the same deployment before it starts.)
     """
     tree = _tree(n=120, seed=23)
     prepared = _prepared(
@@ -340,8 +341,11 @@ def test_chaos_process_backend_server_heals_bit_identically():
         exec_backend="process",
         exec_workers=2,
         exec_backoff=0.01,
-        exec_faults="kill@w0:1:op",
+        exec_faults="kill@w0:2:dp_solve",
     )
+    pooled = solve_on(prepared, MWIS())
+    assert pooled.exec_health is not None
+    assert pooled.exec_health["worker_deaths"] == 1
     plan = FaultPlan.parse("poison@update-layer:1")
     server = prepared.serve(MWIS(), fault_plan=plan)
     nodes = tree.nodes()

@@ -280,24 +280,11 @@ def test_fast_and_exact_accounting_observe_identical_peaks(family, builder, tree
     assert e.rounds == f.rounds and e.charged_rounds == f.charged_rounds
 
 
-def test_accounting_off_disables_word_pricing_but_not_rounds():
-    # The records backend actually routes messages, so word pricing is live.
-    tree = gen.random_attachment_tree(150, seed=1)
-    off = MPCSimulator(MPCConfig(n=tree.num_nodes, accounting="off", treeops_backend="records"))
-    fast = MPCSimulator(MPCConfig(n=tree.num_nodes, accounting="fast", treeops_backend="records"))
-    prep_off = prepare(tree, sim=off)
-    prep_fast = prepare(tree, sim=fast)
-    assert off.stats.total_words_sent == 0
-    assert off.stats.peak_machine_words == 0
-    assert fast.stats.total_words_sent > 0
-    assert off.stats.rounds == fast.stats.rounds
-    assert off.stats.total_messages == fast.stats.total_messages
-    assert prep_off.clustering.layers == prep_fast.clustering.layers
-
-
 def test_invalid_modes_rejected():
     with pytest.raises(ValueError):
         MPCConfig(n=64, accounting="lazy")
+    with pytest.raises(ValueError):
+        MPCConfig(n=64, accounting="off")
     with pytest.raises(ValueError):
         MPCConfig(n=64, treeops_backend="gpu")
 
