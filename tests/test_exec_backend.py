@@ -26,15 +26,18 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import prepare, solve_on
 from repro.dynamic import node_update
 from repro.mpc.config import MPCConfig
 from repro.mpc.exec import ExecBackendError
-from repro.mpc.exec.pool import ProcessBackend
+from repro.mpc.exec.pool import ProcessBackend, ProcessDPSession
 from repro.mpc.simulator import MPCSimulator
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
 from repro.trees import generators as gen
@@ -295,7 +298,7 @@ def test_unshippable_problem_runs_inline_with_warning():
 
 
 # --------------------------------------------------------------------------- #
-# Configuration
+# Configuration and partitioning
 # --------------------------------------------------------------------------- #
 
 
@@ -351,3 +354,39 @@ def test_config_scaled_carries_exec_fields():
     assert (scaled.exec_retries, scaled.exec_backoff) == (1, 0.25)
     assert (scaled.exec_heartbeat, scaled.exec_call_timeout) == (0.5, 30.0)
     assert scaled.exec_faults == "kill@w0:1"
+
+
+@lru_cache(maxsize=None)
+def _compiled_plan(n: int):
+    """The compiled layer plan of a weighted random tree on ``n`` nodes."""
+    prepared = prepare(gen.with_random_weights(gen.random_attachment_tree(n, seed=n), seed=n))
+    solve_on(prepared, MaxWeightIndependentSet())  # the first solve compiles
+    return prepared.clustering._dp_plan
+
+
+@pytest.mark.parametrize("n", [1, 30, 64, 300, 1000])
+@pytest.mark.parametrize("slots", [1, 2, 3, 8])
+def test_slot_batches_partition_rows_by_cluster_owner(slots, n):
+    """A layer batch splits into one non-empty sub-batch per owning slot, in
+    slot order; together they cover exactly the batch's rows, and every
+    cluster goes to worker ``cid % slots``.  The split is driver-side
+    bookkeeping, so no worker is started."""
+    plan = _compiled_plan(n)
+    session = ProcessDPSession(SimpleNamespace(num_slots=slots), None, None, None, None, b"")
+    for layer in range(1, plan.hc.num_layers + 1):
+        full = plan.batch(layer, None, {})
+        # A full layer and a partial one (every other row), as a re-solve of
+        # a few clusters dispatches.
+        for batch in (full, full.select(full.rows[::2])):
+            parts = session._slot_batches(batch)
+            owners = [slot for slot, _ in parts]
+            assert owners == sorted(set(owners))
+            assert all(0 <= slot < slots for slot in owners)
+            for slot, sub in parts:
+                assert len(sub) > 0
+                assert np.all(np.diff(sub.rows) > 0)
+                assert np.all(batch.layer.cids[sub.rows] % slots == slot)
+                assert sub.layer is batch.layer and sub.summaries is batch.summaries
+            covered = np.sort(np.concatenate([sub.rows for _, sub in parts]))
+            assert covered.tolist() == batch.rows.tolist()
+            assert sorted(c for _, sub in parts for c in sub.cids) == sorted(batch.cids)

@@ -83,19 +83,24 @@ def test_capped_subtree_gather_backends_bit_identical(family, builder, cap):
     assert_round_stats_identical(sim_a.stats, sim_r.stats)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 23])
-def test_degree2_path_positions_backends_bit_identical(seed):
-    tree = gen.random_attachment_tree(160, seed=seed)
+def degree2_fragments(tree):
+    """Degree-2 path fragments of ``tree``, as the builder would extract them."""
     children = tree.children_map()
-    # Degree-2 path fragments of the tree, as the builder would extract them.
     path_parent, path_child = {}, {}
     for v in tree.nodes():
-        if v == tree.root or len(children[v]) != 1:
+        if v == tree.root or len(children.get(v, [])) != 1:
             continue
         p = tree.parent[v]
         path_parent[v] = p if (p != tree.root and len(children[p]) == 1) else None
         c = children[v][0]
         path_child[v] = c if len(children.get(c, [])) == 1 and c != tree.root else None
+    return path_parent, path_child
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_degree2_path_positions_backends_bit_identical(seed):
+    tree = gen.random_attachment_tree(160, seed=seed)
+    path_parent, path_child = degree2_fragments(tree)
     sim_a, sim_r = sim_pair(tree.num_nodes)
     pos_a = degree2_path_positions(sim_a, path_parent, path_child)
     pos_r = _degree2_path_positions_records(sim_r, path_parent, path_child)
@@ -107,6 +112,65 @@ def test_degree2_empty_is_equivalent():
     sim_a, sim_r = sim_pair(8)
     assert degree2_path_positions(sim_a, {}, {}) == {}
     assert _degree2_path_positions_records(sim_r, {}, {}) == {}
+    assert_round_stats_identical(sim_a.stats, sim_r.stats)
+
+
+def round_label_sequence(sim):
+    """One ``(measured, label)`` entry per round, in the order they accrued.
+
+    Read from a traced run's timeline: a superstep or a tick is a measured
+    round, a charge a charged one.
+    """
+    seq = []
+    for event in sim.obs.timeline:
+        if event["type"] == "round" and event["rounds"]:
+            entry = (event["kind"] in ("superstep", "tick"), event["label"])
+            seq.extend([entry] * event["rounds"])
+    return seq
+
+
+def run_treeops(sim, tree, records):
+    """Depths, capped subtree infos and degree-2 positions of ``tree``,
+    through one backend's entry points."""
+    path_parent, path_child = degree2_fragments(tree)
+    if records:
+        depths = _compute_depths_records(sim, dict(tree.parent), tree.root)
+        gathered = _capped_subtree_gather_records(
+            sim, dict(tree.parent), tree.children_map(), tree.root, cap=8
+        )
+        positions = _degree2_path_positions_records(sim, path_parent, path_child)
+    else:
+        depths = compute_depths(sim, dict(tree.parent), tree.root)
+        gathered = capped_subtree_gather(
+            sim, dict(tree.parent), tree.children_map(), tree.root, cap=8
+        )
+        positions = degree2_path_positions(sim, path_parent, path_child)
+    infos = {v: (i.node, i.heavy, i.size, i.members) for v, i in gathered.items()}
+    return depths, infos, positions
+
+
+@pytest.mark.parametrize("family,builder", FAMILIES, ids=FAMILY_IDS)
+def test_treeops_round_label_sequence_matches_records(family, builder):
+    """The array steps tick the record path's rounds in the record path's
+    order, not only in the same per-label totals."""
+    tree = builder(150)
+    sim_a, sim_r = sim_pair(tree.num_nodes, obs="trace")
+    assert run_treeops(sim_a, tree, records=False) == run_treeops(sim_r, tree, records=True)
+    seq = round_label_sequence(sim_a)
+    assert len(seq) == sim_a.stats.rounds > 0
+    assert seq == round_label_sequence(sim_r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_trees_backends_bit_identical(n):
+    """Whole-array steps on one-, two- and three-node trees (the last has a
+    degree-2 node): same outputs, same round sequence as the record path."""
+    tree = gen.path_tree(n)
+    sim_a, sim_r = sim_pair(n, obs="trace")
+    out_a = run_treeops(sim_a, tree, records=False)
+    assert out_a == run_treeops(sim_r, tree, records=True)
+    assert out_a[0] == tree.depths()
+    assert round_label_sequence(sim_a) == round_label_sequence(sim_r)
     assert_round_stats_identical(sim_a.stats, sim_r.stats)
 
 
