@@ -72,14 +72,10 @@ def _memory_sweep():
     rows = []
     for n in scaled((250, 1000, 4000), (150, 400)):
         tree = gen.with_random_weights(gen.random_attachment_tree(n, seed=8), seed=8)
-        # Capacity study: pinned to the record-level treeops backend, which
-        # observes mid-flight per-machine loads natively.  The array backend
-        # keeps its state driver-side and observes nothing by default; its
-        # opt-in load model (MPCConfig.treeops_load_model="records") replays
-        # the records path for sizing and matches these peaks exactly
-        # (asserted at small n in tests/test_substrate_equivalence.py), but
-        # it costs records-path time — so the capacity sweep keeps the
-        # native records backend.
+        # Capacity study: pinned to the record-level treeops backend, the
+        # only one that observes mid-flight per-machine loads.  The array
+        # backend keeps its state driver-side and observes none (asserted in
+        # tests/test_substrate_equivalence.py).
         sim = MPCSimulator(MPCConfig(n=n, treeops_backend="records"))
         prepared = prepare(tree, sim=sim)
         solve_on(prepared, MaxWeightIndependentSet())

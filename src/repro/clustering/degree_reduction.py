@@ -90,6 +90,26 @@ class DegreeReductionResult:
             out[(child, orig_parent)] = lab
         return out
 
+    def project(
+        self,
+        edge_labels: Dict[Tuple[Hashable, Hashable], Any],
+        node_labels: Dict[Hashable, Any],
+        root_label: Any,
+    ) -> Tuple[Dict[Tuple[Hashable, Hashable], Any], Dict[Hashable, Any]]:
+        """Edge and node labels of a solve on the reduced tree, on the original tree.
+
+        Edge labels go through :meth:`project_labels`; a node's label is the
+        label of its (original) outgoing edge, and the root's is
+        ``root_label``.  An identity reduction, or a solve that produced no
+        labels, returns ``(edge_labels, node_labels)`` untouched.
+        """
+        if self.is_identity or not edge_labels:
+            return edge_labels, node_labels
+        projected = self.project_labels(edge_labels)
+        nodes = {c: lab for (c, _p), lab in projected.items()}
+        nodes[self.tree.root] = root_label
+        return projected, nodes
+
 
 def reduce_degrees(
     tree: RootedTree,

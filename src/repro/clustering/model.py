@@ -239,6 +239,10 @@ class HierarchicalClustering:
     # The compiled DP layer plans (repro.dp.kernels.plan.ClusteringPlan):
     # built on the first solve, shared by every problem and pass.
     _dp_plan: Optional[Any] = field(default=None, init=False, repr=False, compare=False)
+    #: Advanced by every :meth:`invalidate_payload_plans` call.  Copies of
+    #: the clustering held elsewhere (the exec pool's workers) are keyed by
+    #: it, so a payload write makes the next pooled solve ship fresh payloads.
+    payload_epoch: int = field(default=0, init=False, repr=False, compare=False)
 
     def cluster(self, cid: int) -> Cluster:
         return self.clusters[cid]
@@ -257,7 +261,9 @@ class HierarchicalClustering:
         those inputs; with neither argument every cached input is dropped
         (for payloads mutated out of band).  The plan's structural arrays
         are untouched — the update model never changes the tree's shape.
+        Every call advances :attr:`payload_epoch`.
         """
+        self.payload_epoch += 1
         if self._dp_plan is not None:
             self._dp_plan.invalidate_payload_plans(nodes, edges)
 

@@ -115,13 +115,7 @@ class PreparedTree:
         return self.clustering.tree
 
     def engine(self) -> DPEngine:
-        return DPEngine(
-            self.clustering,
-            sim=self.sim,
-            edge_kinds=self.reduction.edge_kinds,
-            aux_nodes=self.reduction.aux_nodes,
-            original_parent=self.reduction.original_parent,
-        )
+        return DPEngine(self.clustering, self.reduction, sim=self.sim)
 
     def incremental(self, problem: AnyProblem, backend: Optional[str] = None, **kwargs):
         """Solve ``problem`` once and return an update-accepting solver.
@@ -364,14 +358,9 @@ def solve_on(
     if obs.enabled:
         obs.dump(tag="solve")
 
-    # Project edge labels of the degree-reduced tree back to original edges.
-    edge_labels = res.edge_labels
-    node_labels = res.node_labels
-    if not prepared.reduction.is_identity and res.edge_labels:
-        edge_labels = prepared.reduction.project_labels(res.edge_labels)
-        node_labels = {c: lab for (c, _p), lab in edge_labels.items()}
-        node_labels[prepared.original_tree.root] = res.root_label
-
+    edge_labels, node_labels = prepared.reduction.project(
+        res.edge_labels, res.node_labels, res.root_label
+    )
     rounds = {
         "normalization": prepared.normalization_stats.total_rounds,
         "clustering": prepared.clustering_stats.total_rounds,

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.clustering.degree_reduction import DegreeReductionResult
 from repro.clustering.model import Cluster, HierarchicalClustering
 from repro.dp.kernels.plan import ClusteringPlan, LayerBatch, clustering_plan
 from repro.dp.problem import ClusterContext, ClusterDP
@@ -90,19 +91,17 @@ class DPEngine:
     def __init__(
         self,
         clustering: HierarchicalClustering,
+        reduction: DegreeReductionResult,
         sim: Optional[MPCSimulator] = None,
-        edge_kinds: Optional[Dict[Tuple[Hashable, Hashable], str]] = None,
-        aux_nodes: Optional[set] = None,
-        original_parent: Optional[Dict[Hashable, Hashable]] = None,
     ):
         self.hc = clustering
+        #: The degree reduction the clustering was built on
+        #: (``reduction.tree is clustering.tree``).
+        self.reduction = reduction
         self.sim = sim
         #: The deployment's observability context (inert singleton when the
         #: engine runs simulator-less or obs is off).
         self.obs = sim.obs if sim is not None else OBS_OFF
-        self.edge_kinds = edge_kinds or {}
-        self.aux_nodes = aux_nodes or set()
-        self.original_parent = original_parent or {}
         #: When False, :meth:`solve` never opens an exec-backend DP session
         #: (everything runs inline on the driver).  The incremental subsystem
         #: clears this: its long-lived solver's memo state (backpointer arrays,
@@ -114,19 +113,11 @@ class DPEngine:
 
     def context(self, cluster: Cluster, summaries: Dict[int, Any]) -> ClusterContext:
         """A :class:`ClusterContext` for one cluster against ``summaries``."""
-        return ClusterContext(
-            cluster=cluster,
-            tree=self.hc.tree,
-            summaries=summaries,
-            clusters=self.hc.clusters,
-            edge_kinds=self.edge_kinds,
-            aux_nodes=self.aux_nodes,
-            original_parent=self.original_parent,
-        )
+        return ClusterContext(cluster, summaries, self.hc.clusters, self.reduction)
 
     def plan(self) -> ClusteringPlan:
         """The clustering's compiled layer plans (compiled on the first solve)."""
-        return clustering_plan(self.hc, self.edge_kinds, self.aux_nodes, self.original_parent)
+        return clustering_plan(self.hc, self.reduction)
 
     def layer_batch(
         self, layer: int, cids: Optional[Iterable[int]], summaries: Mapping[int, Any]
@@ -170,17 +161,7 @@ class DPEngine:
         """
         if self.sim is None or not self.exec_enabled:
             return None
-        backend = self.sim.executor
-        return backend.dp_session(
-            {
-                "clustering": self.hc,
-                "edge_kinds": self.edge_kinds,
-                "aux_nodes": self.aux_nodes,
-                "original_parent": self.original_parent,
-            },
-            problem,
-            obs=self.obs,
-        )
+        return self.sim.executor.dp_session(self.hc, problem, obs=self.obs)
 
     def summarize_clusters(
         self,

@@ -58,6 +58,7 @@ from typing import (
 
 import numpy as np
 
+from repro.clustering.degree_reduction import DegreeReductionResult
 from repro.clustering.model import ClusterKind, HierarchicalClustering
 from repro.dp.problem import ClusterContext, EdgeInfo, NodeInput
 
@@ -278,24 +279,16 @@ class LayerPlan:
 class ClusteringPlan:
     """A clustering's compiled layer plans plus its payload cache.
 
-    ``edge_kinds`` / ``aux_nodes`` / ``original_parent`` are the degree
-    reduction's tables the clustering was prepared with; they are bound at
-    compile time (one prepared tree, one clustering).
+    ``reduction`` is the degree reduction the clustering was built on
+    (``reduction.tree is hc.tree``); it is bound at compile time (one
+    prepared tree, one clustering) and ships with the plan.
     """
 
-    def __init__(
-        self,
-        hc: HierarchicalClustering,
-        edge_kinds: Mapping[Edge, str],
-        aux_nodes: Any,
-        original_parent: Mapping[Hashable, Hashable],
-    ) -> None:
+    def __init__(self, hc: HierarchicalClustering, reduction: DegreeReductionResult) -> None:
         global _compiles
         _compiles += 1
         self.hc = hc
-        self.edge_kinds = edge_kinds
-        self.aux_nodes = aux_nodes
-        self.original_parent = original_parent
+        self.reduction = reduction
         parent = hc.tree.parent
         self.node_ids: List[Hashable] = list(parent)
         self.node_index: Dict[Hashable, int] = {v: i for i, v in enumerate(self.node_ids)}
@@ -330,7 +323,7 @@ class ClusteringPlan:
         missing = [k for k, inp in enumerate(out) if inp is None]
         if missing:
             data = self.hc.tree.node_data.get
-            aux = self.aux_nodes
+            aux = self.reduction.aux_nodes
             for k in missing:
                 i = ids[k]
                 v = self.node_ids[i]
@@ -346,7 +339,7 @@ class ClusteringPlan:
         if missing:
             tree = self.hc.tree
             data = tree.edge_data.get
-            kinds = self.edge_kinds.get
+            kinds = self.reduction.edge_kinds.get
             for k in missing:
                 i = ids[k]
                 v = self.node_ids[i]
@@ -460,28 +453,13 @@ class LayerBatch:
     def contexts(self) -> List[ClusterContext]:
         """One :class:`ClusterContext` per row (the reference backends' input)."""
         plan = self.plan
-        hc = plan.hc
-        aux = plan.aux_nodes
-        return [
-            ClusterContext(
-                cluster=hc.clusters[cid],
-                tree=hc.tree,
-                summaries=self.summaries,
-                clusters=hc.clusters,
-                edge_kinds=plan.edge_kinds,
-                aux_nodes=aux,
-                original_parent=plan.original_parent,
-            )
-            for cid in self.cids
-        ]
+        clusters = plan.hc.clusters
+        summaries = self.summaries
+        reduction = plan.reduction
+        return [ClusterContext(clusters[cid], summaries, clusters, reduction) for cid in self.cids]
 
 
-def clustering_plan(
-    hc: HierarchicalClustering,
-    edge_kinds: Optional[Mapping[Edge, str]] = None,
-    aux_nodes: Any = None,
-    original_parent: Optional[Mapping[Hashable, Hashable]] = None,
-) -> ClusteringPlan:
+def clustering_plan(hc: HierarchicalClustering, reduction: DegreeReductionResult) -> ClusteringPlan:
     """The clustering's :class:`ClusteringPlan`, compiled on first use.
 
     Cached on the clustering, so every engine, problem and pass of one
@@ -489,6 +467,6 @@ def clustering_plan(
     """
     plan = hc._dp_plan
     if plan is None:
-        plan = ClusteringPlan(hc, edge_kinds or {}, aux_nodes or set(), original_parent or {})
+        plan = ClusteringPlan(hc, reduction)
         hc._dp_plan = plan
     return plan

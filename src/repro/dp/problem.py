@@ -22,6 +22,7 @@ Two layers of abstraction:
 from __future__ import annotations
 
 import abc
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
@@ -37,6 +38,7 @@ from typing import (
     Tuple,
 )
 
+from repro.clustering.degree_reduction import DegreeReductionResult
 from repro.clustering.model import Cluster, Element
 from repro.dp.semiring import Semiring
 from repro.trees.tree import RootedTree
@@ -45,6 +47,24 @@ if TYPE_CHECKING:
     from repro.dp.kernels.plan import LayerBatch
 
 __all__ = ["NodeInput", "EdgeInfo", "ClusterContext", "ClusterDP", "FiniteStateDP"]
+
+
+def _payload_weight(self: Any, default: float = 0.0) -> float:
+    """The payload's weight: a number, or a mapping's ``"weight"`` entry.
+
+    Anything else, no payload included, weighs ``default``.
+    """
+    data = self.data
+    if data is None:
+        return default
+    if type(data) is dict:  # fast path: ABC checks are hot in cache keys
+        w = data.get("weight")
+        return default if w is None else float(w)
+    if isinstance(data, (int, float)) and not isinstance(data, bool):
+        return float(data)
+    if isinstance(data, MappingABC) and "weight" in data:
+        return float(data["weight"])
+    return default
 
 
 @dataclass(frozen=True)
@@ -67,16 +87,7 @@ class NodeInput:
     data: Any = None
     is_auxiliary: bool = False
 
-    def weight(self, default: float = 0.0) -> float:
-        data = self.data
-        if type(data) is dict:  # fast path: ABC checks are hot in cache keys
-            w = data.get("weight")
-            return default if w is None else float(w)
-        if isinstance(data, (int, float)) and not isinstance(data, bool):
-            return float(data)
-        if isinstance(data, Mapping) and "weight" in data:
-            return float(data["weight"])
-        return default
+    weight = _payload_weight
 
 
 @dataclass(frozen=True)
@@ -101,16 +112,7 @@ class EdgeInfo:
     def is_auxiliary(self) -> bool:
         return self.kind == "auxiliary"
 
-    def weight(self, default: float = 0.0) -> float:
-        data = self.data
-        if type(data) is dict:  # fast path: ABC checks are hot in cache keys
-            w = data.get("weight")
-            return default if w is None else float(w)
-        if isinstance(data, (int, float)) and not isinstance(data, bool):
-            return float(data)
-        if isinstance(data, Mapping) and "weight" in data:
-            return float(data["weight"])
-        return default
+    weight = _payload_weight
 
 
 #: The (empty) element-tree views of a single-element cluster.
@@ -121,27 +123,23 @@ class ClusterContext:
     """Everything a :class:`ClusterDP` may inspect about one cluster.
 
     Provides the element tree inside the cluster, the node inputs and edge
-    info of the (degree-reduced) tree, and the summaries of the sub-clusters
-    absorbed by this cluster.
+    info of the degree-reduced tree ``reduction.tree`` (the tree the
+    clustering was built on), and the summaries of the sub-clusters absorbed
+    by this cluster.
     """
 
     def __init__(
         self,
         cluster: Cluster,
-        tree: RootedTree,
         summaries: Mapping[int, Any],
         clusters: Mapping[int, Cluster],
-        edge_kinds: Optional[Mapping[Tuple[Hashable, Hashable], str]] = None,
-        aux_nodes: Optional[set] = None,
-        original_parent: Optional[Mapping[Hashable, Hashable]] = None,
+        reduction: DegreeReductionResult,
     ):
         self.cluster = cluster
-        self.tree = tree
+        self.tree: RootedTree = reduction.tree
         self._summaries = summaries
         self._clusters = clusters
-        self._edge_kinds = edge_kinds if edge_kinds is not None else {}
-        self._aux_nodes = aux_nodes if aux_nodes is not None else set()
-        self._original_parent = original_parent if original_parent is not None else {}
+        self._reduction = reduction
         if cluster.internal_edges:
             self._children: Mapping[Element, List[Element]] = cluster.element_children()
             self._edge_of: Mapping[Element, Tuple[Hashable, Hashable]] = (
@@ -184,17 +182,17 @@ class ClusterContext:
         return NodeInput(
             node=v,
             data=self.tree.node_data.get(v),
-            is_auxiliary=v in self._aux_nodes,
+            is_auxiliary=v in self._reduction.aux_nodes,
         )
 
     def original_parent_of(self, v: Hashable) -> Hashable:
         """The original node that is the logical parent of ``v`` (Section 6.1.1)."""
-        return self._original_parent.get(v, self.tree.parent.get(v, v))
+        return self._reduction.original_parent.get(v, self.tree.parent.get(v, v))
 
     def edge_info(self, edge: Tuple[Hashable, Hashable]) -> EdgeInfo:
         return EdgeInfo(
             edge=edge,
-            kind=self._edge_kinds.get(edge, "original"),
+            kind=self._reduction.edge_kinds.get(edge, "original"),
             data=self.tree.edge_data.get(edge),
         )
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -126,14 +126,16 @@ def edge_update(edge: Tuple[Hashable, Hashable], data: Any) -> PointUpdate:
 
 @dataclass
 class UpdateReport:
-    """What one :meth:`IncrementalSolver.apply_updates` call did.
+    """What one update batch did for one solver (one member of a group).
 
     ``clusters_resolved`` counts bottom-up local re-solves (for a
     single-vertex update this is bounded by the number of layers),
     ``clusters_relabeled`` the top-down label re-derivations, and
     ``rounds_charged`` / ``words_charged`` the update's ``"dp-update"``
     accounting.  ``full_resolve`` marks the bulk-update fallback where every
-    cluster was re-solved.
+    cluster was re-solved.  ``seconds`` is this member's resolve time: the
+    batch's validation and payload writes, shared by all members, are not
+    in it, for a lone :class:`IncrementalSolver` either.
     """
 
     updates: int
@@ -333,23 +335,8 @@ class IncrementalSolver:
         seen.  The full re-solve rewrites every backpointer row; tensors
         rebuild on demand.
         """
-        self.hc.invalidate_payload_plans()
-        dense = getattr(self.solver, "_dense", None)
-        if dense is not None:
-            dense.tensors.clear_value_caches()
-        self._bump_exec_epoch()
-        return self._apply([], force_full=True)
-
-    def _bump_exec_epoch(self) -> None:
-        """Invalidate exec-worker caches of this clustering's tree payloads.
-
-        The process execution backend (:mod:`repro.mpc.exec`) caches the
-        pickled clustering+payload state in its workers keyed by a payload
-        epoch; any payload write must advance it so a later full solve
-        re-ships fresh state instead of solving against stale payloads.
-        """
-        hc = self.hc
-        hc._exec_payload_epoch = getattr(hc, "_exec_payload_epoch", 0) + 1
+        (report,) = _write_batch((self,), [], refresh=True)
+        return report
 
     # ------------------------------------------------------------------ #
     # Update entry points
@@ -361,7 +348,8 @@ class IncrementalSolver:
         Raises :class:`ConcurrentUpdateError` if another batch is mid-flight
         (the solver never blocks; serialization is the caller's job).
         """
-        return self._apply(list(updates), force_full=False)
+        (report,) = _write_batch((self,), updates)
+        return report
 
     def validate(self, updates: Sequence[PointUpdate]) -> None:
         """Raise on any unsupported update descriptor, writing nothing.
@@ -370,8 +358,7 @@ class IncrementalSolver:
         layer uses it to reject a bad submission *before* it is coalesced
         into a batch with other clients' updates.
         """
-        for up in updates:
-            self._validate(up)
+        _validate(self.prepared, updates)
 
     def update_node(self, v: Hashable, data: Any) -> UpdateReport:
         """Convenience: one node payload edit."""
@@ -381,98 +368,9 @@ class IncrementalSolver:
         """Convenience: one edge payload edit."""
         return self.apply_updates([edge_update(edge, data)])
 
-    # ------------------------------------------------------------------ #
-    # Payload application
-    # ------------------------------------------------------------------ #
-
-    def _set_payload(self, store: Dict[Any, Any], key: Any, data: Any) -> None:
-        if data is None:
-            store.pop(key, None)
-        else:
-            store[key] = data
-
-    def _validate(self, up: PointUpdate) -> None:
-        """Raise on an unsupported update *before* any payload is written.
-
-        The whole batch is validated up front so a bad descriptor can never
-        leave the solver half-updated (payloads written, state not re-solved).
-        """
-        original = self.prepared.original_tree
-        if up.kind == "node":
-            if up.target in self.prepared.reduction.aux_nodes:
-                raise KeyError(
-                    f"node {up.target!r} is an auxiliary degree-reduction node; only "
-                    "original tree nodes can carry payloads"
-                )
-            if up.target not in original.parent:
-                raise KeyError(f"node {up.target!r} is not a node of the prepared tree")
-        elif up.kind == "edge":
-            child, parent = up.target
-            if child == original.root or original.parent.get(child) != parent:
-                raise KeyError(
-                    f"edge {up.target!r} is not a (child, parent) edge of the "
-                    "prepared tree"
-                )
-        else:
-            raise ValueError(
-                f"unsupported update kind {up.kind!r}; supported kinds are "
-                f"{UPDATE_KINDS} (structural changes require a new prepare())"
-            )
-
     def _wants_child_seeds(self) -> bool:
         """Whether this problem's rules read a node's payload from its children."""
         return getattr(self.problem, "update_scope", "node") == "node+children"
-
-    def _apply_payload(self, up: PointUpdate, want_children: bool) -> Tuple[Set[int], Set[int]]:
-        """Write one (validated) update's payload; return ``(seeds, child_seeds)``.
-
-        ``child_seeds`` is the extra dirty set for problems declaring
-        ``update_scope = "node+children"`` (XML validation looks up the
-        parent's tag while evaluating a child); it is only computed when
-        ``want_children`` is set, and callers whose problem does not read
-        child-side payloads simply drop it.  The split lets a multi-problem
-        group write payloads *once* and hand each member the seed scope its
-        problem needs.
-        """
-        hc = self.hc
-        reduced = self.prepared.tree
-        original = self.prepared.original_tree
-        child_seeds: Set[int] = set()
-        if up.kind == "node":
-            v = up.target
-            self._set_payload(original.node_data, v, up.data)
-            self._set_payload(reduced.node_data, v, up.data)
-            owner = hc.node_owner(v)
-            hc.invalidate_payload_plans(nodes=[v])
-            # Auxiliary nodes are transparent: a real child below an
-            # auxiliary chain still reads the original parent's payload.
-            # The children's own cached inputs are unchanged; only their
-            # clusters re-solve.
-            if want_children:
-                aux = self.prepared.reduction.aux_nodes
-                stack = list(reduced.children(v))
-                while stack:
-                    c = stack.pop()
-                    if c in aux:
-                        stack.extend(reduced.children(c))
-                    else:
-                        child_seeds.add(hc.node_owner(c))
-            return {owner}, child_seeds
-        if up.kind == "edge":
-            child, parent = up.target
-            # Degree reduction may have rerouted the edge through an
-            # auxiliary parent; the payload lives on the reduced edge whose
-            # child endpoint is the original child.
-            red_edge = (child, reduced.parent[child])
-            self._set_payload(original.edge_data, (child, parent), up.data)
-            self._set_payload(reduced.edge_data, red_edge, up.data)
-            owner = hc.edge_internal_owner()[red_edge]
-            hc.invalidate_payload_plans(edges=[red_edge])
-            # Nested indegree-one clusters read the edge as their incoming
-            # edge (the innermost applies its transition constraint); they
-            # are dirty too.  They read the same cached edge input.
-            return {owner, *hc.in_edge_owners().get(red_edge, ())}, child_seeds
-        raise AssertionError(f"update kind {up.kind!r} escaped _validate")
 
     # ------------------------------------------------------------------ #
     # The partial passes
@@ -495,44 +393,17 @@ class IncrementalSolver:
         with self._apply_mutex:
             self._apply_active = False
 
-    def _apply(self, updates: List[PointUpdate], force_full: bool) -> UpdateReport:
-        self._begin_apply()
-        try:
-            t0 = clock.now()
-            for up in updates:
-                self._validate(up)
-            want_children = self._wants_child_seeds()
-            seeds: Set[int] = set()
-            for up in updates:
-                base, children = self._apply_payload(up, want_children)
-                seeds |= base
-                seeds |= children
-            if updates:
-                self._bump_exec_epoch()
-            self.updates_applied += len(updates)
-            return self._resolve_batch(seeds, len(updates), force_full, t0)
-        finally:
-            self._end_apply()
-
-    def _resolve_batch(
-        self,
-        seeds: Set[int],
-        num_updates: int,
-        force_full: bool,
-        t0: Optional[float] = None,
-    ) -> UpdateReport:
+    def _resolve_batch(self, seeds: Set[int], num_updates: int, force_full: bool) -> UpdateReport:
         """Re-solve the dirty chains seeded by an already-written batch.
 
-        The second half of :meth:`_apply`, split out so a multi-problem
-        group (:class:`IncrementalSolverGroup`) can write a batch's payloads
-        and compute its seed set *once* and then run only this phase per
-        member.  Callers must hold the apply guard (:meth:`_begin_apply`).
+        The per-member half of :func:`_write_batch`, which writes a batch's
+        payloads and computes its seed set *once* for all members.  Callers
+        must hold the apply guard (:meth:`_begin_apply`).
         """
         sim = self.prepared.sim
         hc = self.hc
         obs = self.obs
-        if t0 is None:
-            t0 = clock.now()
+        t0 = clock.now()
         # Payloads a failed earlier batch already wrote still need their
         # chains re-solved; fold them in so repair-and-reapply heals.  The
         # failed pass may have written some of its chain summaries before
@@ -638,7 +509,7 @@ class IncrementalSolver:
                 self._fault_plan.check_site("update-layer")
             old = None if skip_pruning else {cid: self.summaries[cid] for cid in order}
             # Rounds/words are charged on the simulator under "dp-update";
-            # _apply reads the per-label diff back into the report.
+            # _resolve_batch reads the per-label diff back into the report.
             self.engine.summarize_clusters(
                 self.solver, self.summaries, {layer: order}, label=DP_UPDATE_LABEL
             )
@@ -707,12 +578,12 @@ class IncrementalSolver:
     # Result views
     # ------------------------------------------------------------------ #
 
-    def solve_result(self) -> SolveResult:
-        """The current solved state as a :class:`~repro.dp.engine.SolveResult`.
+    def _labels_and_output(
+        self,
+    ) -> Tuple[Dict[Tuple[Hashable, Hashable], Any], Dict[Hashable, Any], Any]:
+        """Snapshots of the label dicts and the problem's output over them.
 
-        The label dicts are *snapshots*: results stay valid after further
-        updates, and caller-side mutation cannot corrupt the solver.
-        Raises when a failed update batch left the state stale.
+        The one stale-state check and extract call behind every result view.
         """
         if self._pending_dirty:
             raise RuntimeError(
@@ -722,11 +593,21 @@ class IncrementalSolver:
             )
         edge_labels = dict(self.edge_labels)
         output = self.solver.extract(self.hc.tree, edge_labels, self.root_label, self.value)
+        return edge_labels, dict(self.node_labels), output
+
+    def solve_result(self) -> SolveResult:
+        """The current solved state as a :class:`~repro.dp.engine.SolveResult`.
+
+        The label dicts are *snapshots*: results stay valid after further
+        updates, and caller-side mutation cannot corrupt the solver.
+        Raises when a failed update batch left the state stale.
+        """
+        edge_labels, node_labels, output = self._labels_and_output()
         return SolveResult(
             value=self.value,
             root_label=self.root_label,
             edge_labels=edge_labels,
-            node_labels=dict(self.node_labels),
+            node_labels=node_labels,
             output=output,
             summaries=dict(self.summaries),
             rounds=self.initial_stats.charged_rounds,
@@ -737,18 +618,16 @@ class IncrementalSolver:
         """The current solved state, shaped exactly like ``solve()``'s result.
 
         Labels of the degree-reduced tree are projected back to original
-        edges the same way :func:`~repro.core.pipeline.solve_on` does, so a
-        result obtained through any number of updates compares field by
-        field against a from-scratch solve of the updated tree.
+        edges by the same :meth:`~repro.clustering.degree_reduction.DegreeReductionResult.project`
+        :func:`~repro.core.pipeline.solve_on` uses, so a result obtained
+        through any number of updates compares field by field against a
+        from-scratch solve of the updated tree.
         """
         prepared = self.prepared
         res = self.solve_result()
-        edge_labels = res.edge_labels
-        node_labels = res.node_labels
-        if not prepared.reduction.is_identity and res.edge_labels:
-            edge_labels = prepared.reduction.project_labels(res.edge_labels)
-            node_labels = {c: lab for (c, _p), lab in edge_labels.items()}
-            node_labels[prepared.original_tree.root] = res.root_label
+        edge_labels, node_labels = prepared.reduction.project(
+            res.edge_labels, res.node_labels, res.root_label
+        )
         stats = prepared.sim.stats
         rounds = {
             "normalization": prepared.normalization_stats.total_rounds,
@@ -777,20 +656,10 @@ class IncrementalSolver:
         :meth:`as_pipeline_result`.  Raises like :meth:`solve_result` when a
         failed batch left the state stale.
         """
-        if self._pending_dirty:
-            raise RuntimeError(
-                "IncrementalSolver state is stale: a previous update batch "
-                "failed after writing payloads.  Repair the offending payload "
-                "and re-apply, or call refresh()."
-            )
-        prepared = self.prepared
-        edge_labels = dict(self.edge_labels)
-        output = self.solver.extract(self.hc.tree, edge_labels, self.root_label, self.value)
-        node_labels = dict(self.node_labels)
-        if not prepared.reduction.is_identity and edge_labels:
-            edge_labels = prepared.reduction.project_labels(edge_labels)
-            node_labels = {c: lab for (c, _p), lab in edge_labels.items()}
-            node_labels[prepared.original_tree.root] = self.root_label
+        edge_labels, node_labels, output = self._labels_and_output()
+        edge_labels, node_labels = self.prepared.reduction.project(
+            edge_labels, node_labels, self.root_label
+        )
         return SolvedView(
             problem=str(getattr(self.problem, "name", type(self.problem).__name__)),
             value=self.value,
@@ -809,11 +678,12 @@ class IncrementalSolverGroup:
     problem gets its own :class:`IncrementalSolver` — its own summaries,
     labels and kernel caches — but a batch of point updates is validated
     once, written to the shared tree once, and its dirty *seed* set (owner
-    clusters, payload-plan invalidation, child-scope expansion, exec-epoch
-    bump) is computed once for the whole group instead of once per problem.
-    Each member then re-solves only its own chains from those seeds; the
-    summary-equality pruning stays per-problem, so a member whose rules
-    ignore the touched payload stops its chain immediately.
+    clusters, payload-plan invalidation, child-scope expansion) is computed
+    once for the whole group instead of once per problem.  Each member then
+    re-solves only its own chains from those seeds; the summary-equality
+    pruning stays per-problem, so a member whose rules ignore the touched
+    payload stops its chain immediately.  A lone :class:`IncrementalSolver`
+    runs its batches through the same writer as a group of one.
 
     Failure containment mirrors the single-problem heal path: if a member's
     resolve raises mid-batch, that member and every member the failure
@@ -849,7 +719,6 @@ class IncrementalSolverGroup:
             name: IncrementalSolver(prepared, p, backend=backend, **solver_kwargs)
             for name, p in zip(names, problems)
         }
-        self._lead = next(iter(self.solvers.values()))
         self.updates_applied = 0
 
     @property
@@ -865,7 +734,7 @@ class IncrementalSolverGroup:
                     f"group serves {len(self.solvers)} problems "
                     f"{self.problems!r}; name one"
                 )
-            return self._lead
+            return next(iter(self.solvers.values()))
         try:
             return self.solvers[problem]
         except KeyError:
@@ -875,7 +744,7 @@ class IncrementalSolverGroup:
 
     def validate(self, updates: Sequence[PointUpdate]) -> None:
         """Raise on any unsupported update descriptor, writing nothing."""
-        self._lead.validate(updates)
+        _validate(self.prepared, updates)
 
     def view(self, problem: Optional[str] = None) -> SolvedView:
         """Immutable snapshot of one member's solved state."""
@@ -887,64 +756,173 @@ class IncrementalSolverGroup:
 
     def refresh(self) -> Dict[str, UpdateReport]:
         """Full re-solve of every member against the current payloads."""
-        return {name: s.refresh() for name, s in self.solvers.items()}
+        reports = _write_batch(tuple(self.solvers.values()), [], refresh=True)
+        return dict(zip(self.solvers, reports))
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> Dict[str, UpdateReport]:
         """Apply one batch to every member; return per-problem reports.
 
-        Validation, payload writes, payload-plan invalidation and the
-        exec-epoch bump run once; only the per-problem chain re-solve is
-        repeated.  Raises :class:`ConcurrentUpdateError` if any member has a
-        batch mid-flight (all member guards are claimed for the duration, so
-        a group batch and a direct member apply can never interleave).
+        Validation, payload writes and payload-plan invalidation run once;
+        only the per-problem chain re-solve is repeated.  Raises
+        :class:`ConcurrentUpdateError` if any member has a batch mid-flight
+        (all member guards are claimed for the duration, so a group batch
+        and a direct member apply can never interleave).
         """
         updates = list(updates)
-        members = list(self.solvers.items())
-        acquired: List[IncrementalSolver] = []
-        try:
-            for _name, m in members:
-                m._begin_apply()
-                acquired.append(m)
-        except ConcurrentUpdateError:
-            for m in acquired:
-                m._end_apply()
-            raise
-        try:
-            lead = self._lead
-            for up in updates:
-                lead._validate(up)
-            want_children = any(m._wants_child_seeds() for _name, m in members)
-            base_seeds: Set[int] = set()
-            child_seeds: Set[int] = set()
-            for up in updates:
-                base, children = lead._apply_payload(up, want_children)
-                base_seeds |= base
-                child_seeds |= children
-            if updates:
-                lead._bump_exec_epoch()  # shared clustering: one bump covers all
-            self.updates_applied += len(updates)
+        reports = _write_batch(tuple(self.solvers.values()), updates)
+        self.updates_applied += len(updates)
+        return dict(zip(self.solvers, reports))
 
-            reports: Dict[str, UpdateReport] = {}
-            entered = 0
-            try:
-                for i, (name, m) in enumerate(members):
-                    entered = i
-                    seeds = set(base_seeds)
-                    if m._wants_child_seeds():
-                        seeds |= child_seeds
-                    m.updates_applied += len(updates)
-                    reports[name] = m._resolve_batch(seeds, len(updates), force_full=False)
-                return reports
-            except BaseException:
-                # The raising member's _resolve_batch left its own pending
-                # set; members the failure skipped never saw these seeds, so
-                # mark them pending too — the next batch heals everyone.
-                for name, m in members[entered:]:
-                    seeds = set(base_seeds)
-                    if m._wants_child_seeds():
-                        seeds |= child_seeds
-                    m._pending_dirty |= seeds
-                raise
-        finally:
-            for m in acquired:
-                m._end_apply()
+
+# --------------------------------------------------------------------------- #
+# The batch writer
+# --------------------------------------------------------------------------- #
+
+
+def _validate(prepared: PreparedTree, updates: Sequence[PointUpdate]) -> None:
+    """Raise on an unsupported update *before* any payload is written.
+
+    The whole batch is validated up front so a bad descriptor can never
+    leave the solver half-updated (payloads written, state not re-solved).
+    """
+    original = prepared.original_tree
+    aux = prepared.reduction.aux_nodes
+    for up in updates:
+        if up.kind == "node":
+            if up.target in aux:
+                raise KeyError(
+                    f"node {up.target!r} is an auxiliary degree-reduction node; only "
+                    "original tree nodes can carry payloads"
+                )
+            if up.target not in original.parent:
+                raise KeyError(f"node {up.target!r} is not a node of the prepared tree")
+        elif up.kind == "edge":
+            child, parent = up.target
+            if child == original.root or original.parent.get(child) != parent:
+                raise KeyError(
+                    f"edge {up.target!r} is not a (child, parent) edge of the "
+                    "prepared tree"
+                )
+        else:
+            raise ValueError(
+                f"unsupported update kind {up.kind!r}; supported kinds are "
+                f"{UPDATE_KINDS} (structural changes require a new prepare())"
+            )
+
+
+def _set_payload(store: Dict[Any, Any], key: Any, data: Any) -> None:
+    if data is None:
+        store.pop(key, None)
+    else:
+        store[key] = data
+
+
+def _write_payload(
+    prepared: PreparedTree, up: PointUpdate, want_children: bool
+) -> Tuple[Set[int], Set[int]]:
+    """Write one (validated) update's payload; return ``(seeds, child_seeds)``.
+
+    ``child_seeds`` is the extra dirty set for problems declaring
+    ``update_scope = "node+children"`` (XML validation looks up the
+    parent's tag while evaluating a child); it is only computed when
+    ``want_children`` is set, and members whose problem does not read
+    child-side payloads drop it.
+    """
+    hc = prepared.clustering
+    reduced = prepared.tree
+    original = prepared.original_tree
+    child_seeds: Set[int] = set()
+    if up.kind == "node":
+        v = up.target
+        _set_payload(original.node_data, v, up.data)
+        _set_payload(reduced.node_data, v, up.data)
+        owner = hc.node_owner(v)
+        hc.invalidate_payload_plans(nodes=[v])
+        # Auxiliary nodes are transparent: a real child below an auxiliary
+        # chain still reads the original parent's payload.  The children's
+        # own cached inputs are unchanged; only their clusters re-solve.
+        if want_children:
+            aux = prepared.reduction.aux_nodes
+            stack = list(reduced.children(v))
+            while stack:
+                c = stack.pop()
+                if c in aux:
+                    stack.extend(reduced.children(c))
+                else:
+                    child_seeds.add(hc.node_owner(c))
+        return {owner}, child_seeds
+    child, parent = up.target
+    # Degree reduction may have rerouted the edge through an auxiliary
+    # parent; the payload lives on the reduced edge whose child endpoint is
+    # the original child.
+    red_edge = (child, reduced.parent[child])
+    _set_payload(original.edge_data, (child, parent), up.data)
+    _set_payload(reduced.edge_data, red_edge, up.data)
+    owner = hc.edge_internal_owner()[red_edge]
+    hc.invalidate_payload_plans(edges=[red_edge])
+    # Nested indegree-one clusters read the edge as their incoming edge (the
+    # innermost applies its transition constraint); they are dirty too.
+    # They read the same cached edge input.
+    return {owner, *hc.in_edge_owners().get(red_edge, ())}, child_seeds
+
+
+def _write_batch(
+    members: Sequence[IncrementalSolver], updates: Iterable[PointUpdate], refresh: bool = False
+) -> List[UpdateReport]:
+    """Apply one update batch to solvers sharing a prepared tree; one report each.
+
+    The only writer of solved state: claims every member's apply guard,
+    validates the whole batch, writes its payloads once, seeds each member
+    (child seeds only for ``update_scope="node+children"`` problems) and
+    re-solves the members in order.  ``refresh`` drops the whole payload
+    cache and the members' value-keyed rule caches first, then re-solves
+    every cluster.  If a member's resolve raises, it and every member after
+    it keep the batch's seeds pending, so the next batch heals them.
+    """
+    updates = list(updates)
+    acquired: List[IncrementalSolver] = []
+    try:
+        for m in members:
+            m._begin_apply()
+            acquired.append(m)
+    except ConcurrentUpdateError:
+        for m in acquired:
+            m._end_apply()
+        raise
+    try:
+        prepared = members[0].prepared
+        _validate(prepared, updates)
+        if refresh:
+            prepared.clustering.invalidate_payload_plans()
+            for m in members:
+                dense = getattr(m.solver, "_dense", None)
+                if dense is not None:
+                    dense.tensors.clear_value_caches()
+        want_children = any(m._wants_child_seeds() for m in members)
+        base_seeds: Set[int] = set()
+        child_seeds: Set[int] = set()
+        for up in updates:
+            base, children = _write_payload(prepared, up, want_children)
+            base_seeds |= base
+            child_seeds |= children
+
+        def seeds_of(m: IncrementalSolver) -> Set[int]:
+            return base_seeds | child_seeds if m._wants_child_seeds() else set(base_seeds)
+
+        for m in members:
+            m.updates_applied += len(updates)
+        reports: List[UpdateReport] = []
+        try:
+            for m in members:
+                reports.append(m._resolve_batch(seeds_of(m), len(updates), force_full=refresh))
+        except BaseException:
+            # The raising member's _resolve_batch left its own pending set;
+            # the members the failure skipped never saw these seeds, so mark
+            # them pending too — the next batch heals everyone.
+            for m in members[len(reports):]:
+                m._pending_dirty |= seeds_of(m)
+            raise
+        return reports
+    finally:
+        for m in acquired:
+            m._end_apply()

@@ -65,22 +65,10 @@ class MPCConfig:
         integer-array backend, which computes bit-identical outputs and
         charges bit-identical rounds while evaluating the supersteps on the
         driver; ``"records"`` runs the record-level reference path on the
-        simulated machines.  The ``"records"`` path additionally feeds
-        mid-flight per-machine loads into the peak-memory statistics, so
-        capacity studies should use it.
-    treeops_load_model:
-        Peak-memory observability of the array backend: ``"none"`` (default)
-        keeps the array path's driver-side state unobserved (peak statistics
-        for the tree subroutines stay zero); ``"records"`` additionally
-        replays each subroutine on a silent records-backend shadow
-        deployment — identical capacity/machine layout, rounds and outputs
-        discarded — and feeds the shadow's peak per-machine load into this
-        deployment's statistics, so ``peak_machine_words`` matches the
-        records backend exactly.  The replay re-runs the record-level path
-        for sizing only, so it costs records-path time; it is meant for
-        capacity studies and the equivalence tests, not the perf path.
-        Ignored when ``treeops_backend="records"`` (loads are observed
-        natively there).
+        simulated machines.  Only the ``"records"`` path feeds mid-flight
+        per-machine loads into the peak-memory statistics (the array path's
+        state is driver-side and observes none), so capacity studies should
+        use it.
     exec_backend:
         Where the DP engine's per-layer batches of a full solve run (see
         :mod:`repro.mpc.exec`): ``"inline"`` evaluates everything in the
@@ -151,7 +139,6 @@ class MPCConfig:
     dp_backend: str = "auto"
     accounting: str = "fast"
     treeops_backend: str = "array"
-    treeops_load_model: str = "none"
     exec_backend: Optional[str] = None
     exec_workers: Optional[int] = None
     exec_retries: Optional[int] = None
@@ -178,11 +165,6 @@ class MPCConfig:
         if self.treeops_backend not in ("array", "records"):
             raise ValueError(
                 f"treeops_backend must be 'array' or 'records', got {self.treeops_backend!r}"
-            )
-        if self.treeops_load_model not in ("none", "records"):
-            raise ValueError(
-                f"treeops_load_model must be 'none' or 'records', "
-                f"got {self.treeops_load_model!r}"
             )
         if self.exec_backend is None:
             self.exec_backend = os.environ.get("REPRO_EXEC_BACKEND") or "inline"

@@ -28,7 +28,7 @@ the graceful fallback when a problem cannot be shipped to workers.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 __all__ = [
     "ExecBackendError",
@@ -76,10 +76,12 @@ class ExecBackend:
 
     name: str = "abstract"
 
-    def dp_session(
-        self, engine_state: Dict[str, Any], solver: Any, obs: Optional[Any] = None
-    ) -> Optional[Any]:
+    def dp_session(self, clustering: Any, solver: Any, obs: Optional[Any] = None) -> Optional[Any]:
         """Open a DP session for one engine solve, or ``None`` to decline.
+
+        ``clustering`` is the solve's
+        :class:`~repro.clustering.model.HierarchicalClustering` with its
+        compiled layer plan, which carries the degree reduction.
 
         ``obs`` is the deployment's :class:`~repro.obs.ObsContext` (or
         ``None``): backends that distribute work attribute per-call latency

@@ -116,7 +116,7 @@ def _build_solver(spec: Tuple[str, Any, Any]) -> Any:
 
 
 def _worker_batch(
-    state: Dict[str, Any],
+    clustering: Any,
     layer: int,
     rows: Any,
     summaries: Dict[int, Any],
@@ -124,17 +124,14 @@ def _worker_batch(
 ) -> Any:
     """The :class:`~repro.dp.kernels.plan.LayerBatch` of ``rows`` of ``layer``.
 
-    The layer plans travel with the shipped clustering (compiled on the
-    driver before the first DP session), so this never recompiles them.
+    The layer plans, with the degree reduction they were compiled against,
+    travel with the shipped clustering (compiled on the driver before the
+    first DP session), so this never recompiles them.
     """
-    from repro.dp.kernels.plan import LayerBatch, clustering_plan
+    from repro.dp.kernels.plan import LayerBatch
 
-    plan = clustering_plan(
-        state["clustering"],
-        state["edge_kinds"],
-        state["aux_nodes"],
-        state["original_parent"],
-    )
+    plan = clustering._dp_plan
+    assert plan is not None, "the driver ships the clustering with its compiled plan"
     lp = plan.layers[layer]
     assert lp is not None
     return LayerBatch(plan, lp, np.asarray(rows, dtype=np.int64), summaries, sizer)
@@ -155,7 +152,7 @@ def _worker_main(
             except Exception:
                 pass
     parent = os.getppid()
-    tree_states: Dict[Any, Dict[str, Any]] = {}
+    tree_states: Dict[Any, Any] = {}
     dp_sessions: Dict[Any, Dict[str, Any]] = {}
 
     # Liveness protocol: while `busy` (a command is executing) and not
@@ -784,8 +781,9 @@ class ProcessBackend(ExecBackend):
             return ("finite", solver.problem, solver.backend)
         return ("raw", solver, None)
 
-    def _tree_key(self, engine_state: Dict[str, Any]) -> Any:
-        hc = engine_state["clustering"]
+    def _tree_key(self, hc: Any) -> Any:
+        """Worker-cache key of a clustering: pool generation, clustering
+        token and payload epoch, so a payload write ships a fresh copy."""
         token = getattr(hc, "_exec_token", None)
         if token is None:
             token = next(self._tree_tokens)
@@ -793,11 +791,10 @@ class ProcessBackend(ExecBackend):
                 hc._exec_token = token
             except Exception:  # pragma: no cover - slotted clustering
                 token = id(hc)
-        epoch = getattr(hc, "_exec_payload_epoch", 0)
-        return (self._generation, token, epoch)
+        return (self._generation, token, hc.payload_epoch)
 
-    def _ship_tree_state(self, engine_state: Dict[str, Any]) -> Any:
-        key = self._tree_key(engine_state)
+    def _ship_tree_state(self, clustering: Any) -> Any:
+        key = self._tree_key(clustering)
         if key in self._tree_mirror:
             self._tree_mirror.move_to_end(key)
             return key
@@ -809,21 +806,13 @@ class ProcessBackend(ExecBackend):
                 break
             del self._tree_mirror[stale]
             self._call_all("tree_drop", stale)
-        blob = pickle.dumps(
-            {
-                "clustering": engine_state["clustering"],
-                "edge_kinds": engine_state["edge_kinds"],
-                "aux_nodes": engine_state["aux_nodes"],
-                "original_parent": engine_state["original_parent"],
-            },
-            protocol=_PICKLE_PROTO,
-        )
+        blob = pickle.dumps(clustering, protocol=_PICKLE_PROTO)
         self._call_all("tree_state", (key, blob))
         self._tree_mirror[key] = None
         return key
 
     def dp_session(
-        self, engine_state: Dict[str, Any], solver: Any, obs: Optional[Any] = None
+        self, clustering: Any, solver: Any, obs: Optional[Any] = None
     ) -> Optional["ProcessDPSession"]:
         """Open a :class:`ProcessDPSession`, or ``None`` for inline layers.
 
@@ -851,7 +840,7 @@ class ProcessBackend(ExecBackend):
 
         def _open() -> Any:
             self._ensure_pool()
-            tree_key = self._ship_tree_state(engine_state)
+            tree_key = self._ship_tree_state(clustering)
             self._call_all("dp_open", (skey, tree_key, solver_blob))
             return tree_key
 
@@ -862,9 +851,7 @@ class ProcessBackend(ExecBackend):
             _warn_inline_fallback(f"DP session open ({skey})", exc)
             return None
         self._live_tree_keys.add(tree_key)
-        return ProcessDPSession(
-            self, skey, tree_key, engine_state, solver, solver_blob, obs
-        )
+        return ProcessDPSession(self, skey, tree_key, clustering, solver, solver_blob, obs)
 
 
 class ProcessDPSession:
@@ -889,7 +876,7 @@ class ProcessDPSession:
         backend: ProcessBackend,
         skey: Any,
         tree_key: Any,
-        engine_state: Dict[str, Any],
+        clustering: Any,
         solver: Any,
         solver_blob: bytes,
         obs: Optional[Any] = None,
@@ -897,7 +884,7 @@ class ProcessDPSession:
         self.backend = backend
         self.skey = skey
         self.tree_key = tree_key
-        self.engine_state = engine_state
+        self.clustering = clustering
         self.solver = solver
         self._solver_blob = solver_blob
         self.obs = obs if obs is not None else OBS_OFF
@@ -918,7 +905,7 @@ class ProcessDPSession:
         backend = self.backend
         backend._ensure_pool()
         backend._live_tree_keys.discard(self.tree_key)
-        self.tree_key = backend._ship_tree_state(self.engine_state)
+        self.tree_key = backend._ship_tree_state(self.clustering)
         backend._live_tree_keys.add(self.tree_key)
         backend._call_all("dp_open", (self.skey, self.tree_key, self._solver_blob))
         self._known = [set() for _ in range(backend.num_slots)]

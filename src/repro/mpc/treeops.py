@@ -73,43 +73,6 @@ def _use_array_backend(sim: MPCSimulator) -> bool:
     return sim.config.treeops_backend == "array"
 
 
-def _replay_records_loads(sim: MPCSimulator, run_records) -> None:
-    """Feed the records path's peak load into ``sim`` (array load model).
-
-    The array backend keeps its state in driver-side NumPy arrays, so it has
-    no per-machine loads to observe; with
-    ``MPCConfig.treeops_load_model="records"`` each subroutine additionally
-    replays its record-level reference implementation on a *shadow*
-    deployment (same n/delta/capacity/machine count, records backend) purely
-    for sizing.  The shadow's rounds, messages and outputs are discarded —
-    only its peak per-machine load is observed on the real simulator, which
-    makes ``peak_machine_words`` match a records-backend run exactly (the
-    peak statistic is a running max over identical observation sets).
-    Violation *counts* are coarser than the records path's (at most one per
-    subroutine call rather than one per violating observation); strict-mode
-    raising still triggers through the real simulator's ``observe_loads``.
-    """
-    import dataclasses
-
-    shadow = MPCSimulator(
-        dataclasses.replace(
-            sim.config,
-            treeops_backend="records",
-            treeops_load_model="none",
-            strict_memory=False,
-            strict_bandwidth=False,
-        )
-    )
-    run_records(shadow)
-    sim.observe_loads([shadow.stats.peak_machine_words])
-
-
-def _with_load_model(sim: MPCSimulator, run_records) -> None:
-    # mpclint: disable-next-line=backend-literal-parity -- "none" disables load replay; the silent fall-through IS the none behavior
-    if sim.config.treeops_load_model == "records":
-        _replay_records_loads(sim, run_records)
-
-
 # --------------------------------------------------------------------------- #
 # Depth computation by pointer doubling
 # --------------------------------------------------------------------------- #
@@ -131,9 +94,6 @@ def compute_depths(
     if _use_array_backend(sim):
         from repro.mpc.treeops_array import compute_depths_array
 
-        _with_load_model(
-            sim, lambda shadow: _compute_depths_records(shadow, parent, root, max_iterations)
-        )
         return compute_depths_array(sim, parent, root, max_iterations)
     return _compute_depths_records(sim, parent, root, max_iterations)
 
@@ -223,10 +183,6 @@ def capped_subtree_gather(
     if _use_array_backend(sim):
         from repro.mpc.treeops_array import capped_subtree_gather_array
 
-        _with_load_model(
-            sim,
-            lambda shadow: _capped_subtree_gather_records(shadow, parent, children, root, cap),
-        )
         return capped_subtree_gather_array(sim, parent, children, root, cap)
     return _capped_subtree_gather_records(sim, parent, children, root, cap)
 
@@ -362,10 +318,6 @@ def degree2_path_positions(
     if _use_array_backend(sim):
         from repro.mpc.treeops_array import degree2_path_positions_array
 
-        _with_load_model(
-            sim,
-            lambda shadow: _degree2_path_positions_records(shadow, path_parent, path_child),
-        )
         return degree2_path_positions_array(sim, path_parent, path_child)
     return _degree2_path_positions_records(sim, path_parent, path_child)
 

@@ -117,6 +117,52 @@ def test_incremental_updates_after_process_solve():
     assert results["process"] == results["inline"]
 
 
+def _pooled(tree):
+    """``tree`` prepared on a 2-worker process deployment."""
+    cfg = MPCConfig(n=len(tree.nodes()), exec_backend="process", exec_workers=2)
+    return prepare(tree, sim=MPCSimulator(cfg))
+
+
+def _outcome(res):
+    return (res.value, res.root_label, dict(res.node_labels), dict(res.edge_labels))
+
+
+def test_pooled_solve_sees_payloads_edited_outside_the_incremental_solver():
+    """Payloads edited in place and announced with
+    ``invalidate_payload_plans()`` reach the workers too: their cached copy
+    of the clustering is keyed by its payload epoch."""
+    make = lambda: gen.with_random_weights(gen.random_attachment_tree(400, seed=3), seed=3)
+    pooled = _pooled(make())
+    solve_on(pooled, MaxWeightIndependentSet())  # the workers cache the clustering
+    edited = make()
+    for v in sorted(edited.nodes())[:50]:
+        edited.node_data[v] = 1000.0
+        pooled.tree.node_data[v] = 1000.0
+    pooled.clustering.invalidate_payload_plans()
+    got = solve_on(pooled, MaxWeightIndependentSet())
+    assert _outcome(got) == _outcome(solve_on(prepare(edited), MaxWeightIndependentSet()))
+
+
+def test_pooled_solve_after_incremental_updates_matches_inline():
+    """Point updates written by an incremental solver reach a later pooled
+    full solve on the same deployment."""
+    make = lambda: gen.with_random_weights(gen.random_attachment_tree(300, seed=8), seed=8)
+    tree = make()
+    pooled = _pooled(tree)
+    solve_on(pooled, MaxWeightIndependentSet())  # the workers cache the clustering
+    inc = pooled.incremental(MaxWeightIndependentSet())
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        picked = rng.choice(sorted(tree.nodes()), size=4, replace=False).tolist()
+        inc.apply_updates([node_update(v, float(rng.uniform(0, 50))) for v in picked])
+    inline = make()
+    inline.node_data = dict(tree.node_data)
+    ref = solve_on(prepare(inline), MaxWeightIndependentSet())
+    got = solve_on(pooled, MaxWeightIndependentSet())
+    assert _outcome(got) == _outcome(ref)
+    assert got.value == inc.value
+
+
 # --------------------------------------------------------------------------- #
 # Failure modes
 # --------------------------------------------------------------------------- #

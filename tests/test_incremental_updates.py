@@ -26,7 +26,13 @@ from repro.core.pipeline import prepare, solve
 from repro.dp.engine import DP_PASS_LABEL, DP_UPDATE_LABEL
 from repro.dp.local_solver import backend_ineligibility
 from repro.dp.problem import FiniteStateDP
-from repro.dynamic import IncrementalSolver, PointUpdate, edge_update, node_update
+from repro.dynamic import (
+    IncrementalSolver,
+    IncrementalSolverGroup,
+    PointUpdate,
+    edge_update,
+    node_update,
+)
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
 from repro.problems.registry import table1_entries
 from repro.problems.weighted_max_sat import WeightedMaxSAT
@@ -249,6 +255,66 @@ def test_incremental_matches_from_scratch(name, family, backend):
         )
     # The update path must actually be partial, not a hidden full re-solve.
     assert any(c < len(inc.hc.clusters) for c in resolved_counts)
+
+
+#: Every count an :class:`UpdateReport` carries (all fields but ``seconds``).
+_REPORT_COUNTS = (
+    "updates",
+    "clusters_resolved",
+    "clusters_relabeled",
+    "summaries_changed",
+    "edges_relabeled",
+    "layers_resolved",
+    "layers_relabeled",
+    "rounds_charged",
+    "words_charged",
+    "value",
+    "value_changed",
+    "root_label_changed",
+    "full_resolve",
+    "dirty_seed_clusters",
+)
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_MAP))
+@pytest.mark.parametrize(
+    "name",
+    [
+        "Maximum weight independent set",
+        "Maximum weight matching",
+        "Verifying the structure of XML-like documents",  # node+children scope
+    ],
+)
+def test_lone_solver_and_one_member_group_apply_identically(name, family):
+    """A lone solver is a group of one: the same batches, applied to the same
+    tree through ``IncrementalSolver.apply_updates`` and through a one-member
+    ``IncrementalSolverGroup``, give the same reports and the same labels."""
+    sides = []
+    for _ in range(2):
+        entry, tree, make_problem, mutate = _make_case(name, family, seed=41)
+        prepared = prepare(tree, degree_reduction=entry.degree_reduction)
+        sides.append((tree, prepared, make_problem()))
+    (tree, prepared, problem), (group_tree, group_prepared, group_problem) = sides
+    lone = IncrementalSolver(prepared, problem)
+    group = IncrementalSolverGroup(group_prepared, [group_problem])
+    member = group.solver()
+    rng = random.Random(41)
+    for step in range(STEPS + 1):
+        if step < STEPS:
+            ups = mutate(rng, tree)
+            got = lone.apply_updates(ups)
+            (via_group,) = group.apply_updates(ups).values()
+        else:
+            got = lone.refresh()
+            (via_group,) = group.refresh().values()
+        context = (name, family, step)
+        for stat in _REPORT_COUNTS:
+            assert getattr(got, stat) == getattr(via_group, stat), (stat, context)
+        a, b = lone.as_pipeline_result(), member.as_pipeline_result()
+        assert (a.value, a.root_label, a.output) == (b.value, b.root_label, b.output), context
+        assert a.edge_labels == b.edge_labels and a.node_labels == b.node_labels, context
+    assert tree.node_data == group_tree.node_data
+    assert tree.edge_data == group_tree.edge_data
 
 
 def test_long_mixed_sequence_with_batches():

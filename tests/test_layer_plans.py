@@ -187,25 +187,15 @@ def test_serving_batches_reuse_the_plan():
 
 def test_pool_workers_reuse_the_shipped_plan():
     """Workers receive the driver's plan with the shipped clustering: their
-    batches (built by the worker's own helper from the unpickled tree state,
+    batches (built by the worker's own helper from the unpickled clustering,
     exactly as the pool ships it) compile nothing, for every problem."""
     from repro.mpc.exec.pool import _worker_batch
 
     tree = _weighted(n=400, seed=6)
     prepared = prepare(tree)
     solve_on(prepared, MaxWeightIndependentSet())  # the driver compiles
-    engine = prepared.engine()
-    shipped = pickle.loads(
-        pickle.dumps(
-            {
-                "clustering": prepared.clustering,
-                "edge_kinds": engine.edge_kinds,
-                "aux_nodes": engine.aux_nodes,
-                "original_parent": engine.original_parent,
-            }
-        )
-    )
-    plan = shipped["clustering"]._dp_plan
+    shipped = pickle.loads(pickle.dumps(prepared.clustering))
+    plan = shipped._dp_plan
     assert plan is not None
     before = compile_count()
     for layer in range(1, plan.hc.num_layers + 1):

@@ -143,6 +143,49 @@ def test_serve_differential_at_every_batch_boundary():
     assert report["snapshots_published"] == 9  # initial + 8 batches
 
 
+@pytest.mark.parametrize(
+    "make_tree",
+    [gen.star_tree, gen.two_level_tree, gen.broom_tree],
+    ids=["star", "two-level", "broom"],
+)
+def test_degree_reduced_snapshots_match_solve_on_after_every_batch(make_tree):
+    """On a tree the degree reduction splits, every published snapshot and
+    every ``view()`` carries the labels of the original edges, exactly as a
+    from-scratch ``solve_on`` projects them, batch after batch."""
+    n = 400
+    tree = gen.with_random_weights(make_tree(n), seed=n)
+    rng = random.Random(n)
+    tree.edge_data = {e: round(rng.uniform(0, 5), 3) for e in tree.edges()}
+    problems = [MWIS(), MaxWeightMatching()]
+    prepared = _prepared(tree, n)
+    assert not prepared.reduction.is_identity, "the test tree must be degree-reduced"
+    server = prepared.serve(problems)
+    nodes = sorted(tree.nodes())
+    edges = sorted(tree.edges())
+
+    def check():
+        for p in problems:
+            ref = solve_on(prepare(tree), p)
+            view = server.group.view(p.name)
+            for got in (view, server.snapshot(p.name)):
+                assert got.value == ref.value
+                assert got.root_label == ref.root_label
+                assert dict(got.node_labels) == ref.node_labels
+                assert dict(got.edge_labels) == ref.edge_labels
+                assert got.output == ref.output
+
+    async def main():
+        check()
+        async with server:
+            for _ in range(6):
+                ups = [node_update(rng.choice(nodes), round(rng.uniform(0.1, 9.9), 3))]
+                ups.append(edge_update(rng.choice(edges), round(rng.uniform(0, 5), 3)))
+                await server.update(ups)
+                check()
+
+    asyncio.run(main())
+
+
 def test_multi_problem_group_shares_seeds_and_stays_bit_identical():
     """solve_many-style serving: one dirty-seed computation, N problems."""
     tree = _tree(n=100, seed=14)

@@ -354,60 +354,20 @@ def test_invalid_modes_rejected():
 
 
 # --------------------------------------------------------------------------- #
-# Array-backend load model (ROADMAP: peak observability of the array path)
+# Peak-memory observability of the two treeops backends
 # --------------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("family,builder", FAMILIES, ids=FAMILY_IDS)
-@pytest.mark.parametrize("n", [60, 150], ids=["n60", "n150"])
-def test_load_model_matches_records_backend_peaks(family, builder, n):
-    """With the opt-in load model, the array backend's peak-word statistics
-    for ``prepare()`` match the records backend's exactly.
-
-    The array backend's subroutine state is driver-side, so by default it
-    observes no per-machine loads at all; ``treeops_load_model="records"``
-    replays the record-level reference path on a shadow deployment for
-    sizing only.  The peak statistic is a running max over observations, so
-    parity here means the shadow replay is faithful to the records path's
-    full observation set.
-    """
-    tree = gen.with_random_weights(builder(n), seed=3)
-    sim_lm = MPCSimulator(
-        MPCConfig(n=tree.num_nodes, treeops_backend="array", treeops_load_model="records")
-    )
-    sim_rec = MPCSimulator(MPCConfig(n=tree.num_nodes, treeops_backend="records"))
-    prepare(tree, sim=sim_lm)
-    prepare(tree, sim=sim_rec)
-    assert sim_rec.stats.peak_machine_words > 0
-    assert sim_lm.stats.peak_machine_words == sim_rec.stats.peak_machine_words
-
-
-def test_load_model_off_by_default_and_validated():
-    tree = gen.random_attachment_tree(80, seed=5)
-    sim = MPCSimulator(MPCConfig(n=tree.num_nodes, treeops_backend="array"))
-    prepare(tree, sim=sim)
-    # Default: the array path's driver-side state is unobserved.
-    assert sim.config.treeops_load_model == "none"
-    assert sim.stats.peak_machine_words == 0
-    with pytest.raises(ValueError):
-        MPCConfig(n=64, treeops_load_model="exact")
-
-
-def test_load_model_does_not_change_rounds_or_outputs():
-    """The shadow replay is sizing-only: round/label accounting and the
-    clustering itself stay bit-identical to a plain array-backend run."""
-    tree = gen.with_random_weights(gen.random_attachment_tree(150, seed=7), seed=7)
-    plain = MPCSimulator(MPCConfig(n=tree.num_nodes, treeops_backend="array"))
-    modeled = MPCSimulator(
-        MPCConfig(n=tree.num_nodes, treeops_backend="array", treeops_load_model="records")
-    )
-    prep_plain = prepare(tree, sim=plain)
-    prep_modeled = prepare(tree, sim=modeled)
-    assert plain.stats.rounds == modeled.stats.rounds
-    assert plain.stats.rounds_by_label == modeled.stats.rounds_by_label
-    assert plain.stats.charged_by_label == modeled.stats.charged_by_label
-    assert plain.stats.total_messages == modeled.stats.total_messages
-    assert prep_plain.clustering.layers == prep_modeled.clustering.layers
-    assert {
-        cid: c.elements for cid, c in prep_plain.clustering.clusters.items()
-    } == {cid: c.elements for cid, c in prep_modeled.clustering.clusters.items()}
+def test_only_records_treeops_observe_machine_loads(family, builder):
+    """The records path feeds its mid-flight per-machine loads into the peak
+    statistics; the array path keeps its state on the driver and observes
+    none, which is why capacity studies pin ``treeops_backend="records"``."""
+    tree = gen.with_random_weights(builder(150), seed=3)
+    peaks = {}
+    for backend in ("array", "records"):
+        sim = MPCSimulator(MPCConfig(n=tree.num_nodes, treeops_backend=backend))
+        prepare(tree, sim=sim)
+        peaks[backend] = sim.stats.peak_machine_words
+    assert peaks["records"] > 0
+    assert peaks["array"] == 0
