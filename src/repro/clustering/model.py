@@ -244,6 +244,19 @@ class HierarchicalClustering:
     #: it, so a payload write makes the next pooled solve ship fresh payloads.
     payload_epoch: int = field(default=0, init=False, repr=False, compare=False)
 
+    # The ownership indices serve only the driver's update path and rebuild
+    # on first use, so pickled copies (the exec pool's workers) go without
+    # them.  Until built they are class-level ``None`` defaults, absent
+    # from ``__dict__``, so the pickle of a clustering that never built
+    # them is the plain ``__dict__`` one.
+    _DRIVER_INDICES = ("_element_owner", "_edge_owner", "_in_edge_owners", "_boundary_dependents")
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        for name in self._DRIVER_INDICES:
+            state.pop(name, None)
+        return state
+
     def cluster(self, cid: int) -> Cluster:
         return self.clusters[cid]
 

@@ -52,18 +52,32 @@ backends.
 
 from __future__ import annotations
 
+import functools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.clustering.model import cluster_element
+from repro.clustering.model import HierarchicalClustering, cluster_element
 from repro.core.pipeline import PipelineResult, PreparedTree, as_cluster_dp
 from repro.dp.engine import DP_UPDATE_LABEL, ROUNDS_PER_LAYER, SolveResult
 from repro.mpc.simulator import RoundStats
 from repro.obs import DEFAULT_SIZE_BUCKETS, clock
+from repro.trees.tree import RootedTree
 
 __all__ = [
     "ConcurrentUpdateError",
@@ -155,6 +169,31 @@ class UpdateReport:
     dirty_seed_clusters: Tuple[int, ...] = field(default_factory=tuple)
 
 
+class _OnFirstRead:
+    """``build()``'s result, computed by the first :meth:`get` and kept.
+
+    A reader that arrives while another thread builds waits for it, so the
+    value is built once.  The builder, and whatever it references, is
+    dropped once the value is in.
+    """
+
+    __slots__ = ("_build", "_value", "_lock")
+
+    def __init__(self, build: Callable[[], Any]) -> None:
+        self._build: Optional[Callable[[], Any]] = build
+        self._value: Any = None
+        self._lock = threading.Lock()
+
+    def get(self) -> Any:
+        if self._build is not None:
+            with self._lock:
+                build = self._build
+                if build is not None:
+                    self._value = build()
+                    self._build = None
+        return self._value
+
+
 @dataclass(frozen=True)
 class SolvedView:
     """An immutable snapshot of one solved problem at a batch boundary.
@@ -165,6 +204,16 @@ class SolvedView:
     applies further batches.  Labels are projected back to *original*
     (pre-degree-reduction) edges, exactly like
     :meth:`IncrementalSolver.as_pipeline_result`.
+
+    :attr:`output` (the problem's post-processing of the labels: the
+    independent set, the matching...) is built by ``build_output`` on its
+    first read, on the reading thread (the event loop, for a
+    :class:`~repro.serving.TreeServer`'s readers), once per view; a
+    concurrent second reader waits for the first.  Reading ``value`` or the
+    labels (``query_value``, ``query_label``) never builds it.
+    :meth:`IncrementalSolver.view` binds ``build_output`` to the view's own
+    version, so a view kept across later batches still builds its own
+    version's output.  Equality and ``repr`` ignore it.
     """
 
     problem: str
@@ -172,8 +221,17 @@ class SolvedView:
     root_label: Any
     node_labels: Mapping[Hashable, Any]
     edge_labels: Mapping[Tuple[Hashable, Hashable], Any]
-    output: Any
     updates_applied: int
+    build_output: InitVar[Callable[[], Any]]
+    _output: _OnFirstRead = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, build_output: Callable[[], Any]) -> None:
+        object.__setattr__(self, "_output", _OnFirstRead(build_output))
+
+    @property
+    def output(self) -> Any:
+        """The problem's output at this view's version, built on first read."""
+        return self._output.get()
 
 
 def summaries_equal(a: Any, b: Any) -> bool:
@@ -201,6 +259,30 @@ def summaries_equal(a: Any, b: Any) -> bool:
         return bool(a == b)
     except Exception:
         return False
+
+
+class _PayloadSnapshot:
+    """The reduced tree as of the latest payload write, payloads copied once.
+
+    A view's deferred output may only read its own version, and some
+    extracts read payloads (``DownwardAccumulationSolver.extract`` reads
+    ``node_data``).  The copy is a :meth:`~repro.trees.tree.RootedTree.payload_snapshot`:
+    two payload dict copies over the shared structure.  It is keyed by the
+    clustering's ``payload_epoch``, which every payload write advances, so
+    the members of a group share one copy per batch.
+    """
+
+    def __init__(self, hc: HierarchicalClustering) -> None:
+        self._hc = hc
+        self._latest: Optional[Tuple[int, RootedTree]] = None
+
+    def current(self) -> RootedTree:
+        epoch = self._hc.payload_epoch
+        latest = self._latest
+        if latest is None or latest[0] != epoch:
+            latest = (epoch, self._hc.tree.payload_snapshot())
+            self._latest = latest
+        return latest[1]
 
 
 class IncrementalSolver:
@@ -282,6 +364,12 @@ class IncrementalSolver:
         self.full_resolve_threshold = full_resolve_threshold
         self._owner = self.hc.parent_cluster_of_element()
         self.updates_applied = 0
+        #: ``"dp-update"`` rounds charged by this solver's own passes: the
+        #: sum of its reports' ``rounds_charged``, :meth:`refresh` included.
+        self.update_rounds = 0
+        #: Payload snapshots for the views' deferred outputs; a group hands
+        #: its members one shared instance.
+        self._payloads = _PayloadSnapshot(self.hc)
         #: Dirty clusters of a batch whose solve phase raised mid-pass (a
         #: payload the problem's rules reject, a strict-mode capacity
         #: violation).  Payloads are written before the passes run, so on
@@ -453,6 +541,7 @@ class IncrementalSolver:
         diff = sim.stats.diff(snap)
         report.rounds_charged = diff.charged_by_label.get(DP_UPDATE_LABEL, 0)
         report.words_charged = diff.charged_words_by_label.get(DP_UPDATE_LABEL, 0)
+        self.update_rounds += report.rounds_charged
         report.value = self.value
         report.seconds = clock.now() - t0
         self._observe_report(report)
@@ -578,12 +667,12 @@ class IncrementalSolver:
     # Result views
     # ------------------------------------------------------------------ #
 
-    def _labels_and_output(
+    def _label_snapshots(
         self,
-    ) -> Tuple[Dict[Tuple[Hashable, Hashable], Any], Dict[Hashable, Any], Any]:
-        """Snapshots of the label dicts and the problem's output over them.
+    ) -> Tuple[Dict[Tuple[Hashable, Hashable], Any], Dict[Hashable, Any]]:
+        """Copies of the label dicts (of the degree-reduced tree).
 
-        The one stale-state check and extract call behind every result view.
+        The one stale-state check behind every result view.
         """
         if self._pending_dirty:
             raise RuntimeError(
@@ -591,9 +680,7 @@ class IncrementalSolver:
                 "failed after writing payloads.  Repair the offending payload "
                 "and re-apply, or call refresh()."
             )
-        edge_labels = dict(self.edge_labels)
-        output = self.solver.extract(self.hc.tree, edge_labels, self.root_label, self.value)
-        return edge_labels, dict(self.node_labels), output
+        return dict(self.edge_labels), dict(self.node_labels)
 
     def solve_result(self) -> SolveResult:
         """The current solved state as a :class:`~repro.dp.engine.SolveResult`.
@@ -602,13 +689,13 @@ class IncrementalSolver:
         updates, and caller-side mutation cannot corrupt the solver.
         Raises when a failed update batch left the state stale.
         """
-        edge_labels, node_labels, output = self._labels_and_output()
+        edge_labels, node_labels = self._label_snapshots()
         return SolveResult(
             value=self.value,
             root_label=self.root_label,
             edge_labels=edge_labels,
             node_labels=node_labels,
-            output=output,
+            output=self.solver.extract(self.hc.tree, edge_labels, self.root_label, self.value),
             summaries=dict(self.summaries),
             rounds=self.initial_stats.charged_rounds,
             layers=self.layers,
@@ -621,19 +708,20 @@ class IncrementalSolver:
         edges by the same :meth:`~repro.clustering.degree_reduction.DegreeReductionResult.project`
         :func:`~repro.core.pipeline.solve_on` uses, so a result obtained
         through any number of updates compares field by field against a
-        from-scratch solve of the updated tree.
+        from-scratch solve of the updated tree.  ``rounds["dp-update"]`` is
+        this solver's own :attr:`update_rounds`, not the deployment's
+        ``"dp-update"`` total, which a group's members share.
         """
         prepared = self.prepared
         res = self.solve_result()
         edge_labels, node_labels = prepared.reduction.project(
             res.edge_labels, res.node_labels, res.root_label
         )
-        stats = prepared.sim.stats
         rounds = {
             "normalization": prepared.normalization_stats.total_rounds,
             "clustering": prepared.clustering_stats.total_rounds,
             "dp": self.initial_stats.total_rounds,
-            "dp-update": stats.charged_by_label.get(DP_UPDATE_LABEL, 0),
+            "dp-update": self.update_rounds,
         }
         return PipelineResult(
             value=res.value,
@@ -655,8 +743,20 @@ class IncrementalSolver:
         solver.  Labels are projected to original edges like
         :meth:`as_pipeline_result`.  Raises like :meth:`solve_result` when a
         failed batch left the state stale.
+
+        ``output`` is not extracted here but on its first read (see
+        :class:`SolvedView`), from this version's un-projected label copy,
+        root label, value and payload snapshot (one per batch, shared by a
+        group's members).
         """
-        edge_labels, node_labels, output = self._labels_and_output()
+        edge_labels, node_labels = self._label_snapshots()
+        build_output = functools.partial(
+            self.solver.extract,
+            self._payloads.current(),
+            edge_labels,
+            self.root_label,
+            self.value,
+        )
         edge_labels, node_labels = self.prepared.reduction.project(
             edge_labels, node_labels, self.root_label
         )
@@ -666,8 +766,8 @@ class IncrementalSolver:
             root_label=self.root_label,
             node_labels=MappingProxyType(node_labels),
             edge_labels=MappingProxyType(edge_labels),
-            output=output,
             updates_applied=self.updates_applied,
+            build_output=build_output,
         )
 
 
@@ -719,6 +819,10 @@ class IncrementalSolverGroup:
             name: IncrementalSolver(prepared, p, backend=backend, **solver_kwargs)
             for name, p in zip(names, problems)
         }
+        # One payload snapshot per batch for every member's views.
+        payloads = _PayloadSnapshot(prepared.clustering)
+        for s in self.solvers.values():
+            s._payloads = payloads
         self.updates_applied = 0
 
     @property

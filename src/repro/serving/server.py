@@ -10,15 +10,21 @@ Architecture (one server = one prepared tree + N problems):
   applies it through the :class:`~repro.dynamic.IncrementalSolverGroup` and
   then builds the batch's immutable :class:`~repro.dynamic.SolvedView`
   snapshots.  The group writes the batch's payloads and computes its dirty
-  seed set once for all problems.  Both the dirty-chain re-solve and the
-  O(n) snapshot build run off the event loop, so reads never wait for
-  them; back on the loop the writer only bumps the version and swaps the
-  references.
+  seed set once for all problems.  A snapshot build copies each problem's
+  label dicts and, once per batch for all problems, the tree's payload
+  dicts; it does not extract the problems' outputs (see the read path).
+  Both the dirty-chain re-solve and the snapshot build run off the event
+  loop, so reads never wait for them; back on the loop the writer only
+  bumps the version and swaps the references.
 * **Read path.**  Queries never touch the solvers: they read the
   :class:`~repro.serving.SnapshotStore`, whose per-batch publication is a
   single reference swap of the snapshots the worker thread built.  A read
   therefore sees the complete pre-batch or post-batch state — never a torn
-  one — even while a batch is mid-flight.
+  one — even while a batch is mid-flight.  ``query_value`` and
+  ``query_label`` read values and labels only.  A snapshot's ``output``
+  (the independent set, the matching...) is built on its first read, on
+  the reading thread (the event loop, for readers of this server), once
+  per snapshot, from that snapshot's own version.
 * **Barrier placement.**  The MPC driver barrier stays where the engine
   put it: inside the solver pass, between cluster layers.  The server adds
   exactly one serialization point above it (the writer task); nothing in
@@ -210,13 +216,13 @@ class TreeServer:
     async def _apply_batch(self, updates: List[PointUpdate]) -> BatchApplied:
         """Writer-side: one solver pass + one snapshot publication.
 
-        The solver pass and the snapshot build run in one worker thread, so
-        readers stay live through both; only the version bump and the
-        reference swap run on the event loop.  A failure in either half
-        fails the batch and publishes nothing.  The group serializes
-        overlapping applies below us (ConcurrentUpdateError), but the single
-        writer task means that can only trip for out-of-band callers
-        touching the group directly.
+        The solver pass and the snapshot build (label copies and one
+        payload copy, no extract) run in one worker thread, so readers stay
+        live through both; only the version bump and the reference swap run
+        on the event loop.  A failure in either half fails the batch and
+        publishes nothing.  The group serializes overlapping applies below
+        us (ConcurrentUpdateError), but the single writer task means that
+        can only trip for out-of-band callers touching the group directly.
         """
         obs = self.obs
         t0 = clock.now() if obs.enabled else 0.0
@@ -293,7 +299,10 @@ class TreeServer:
         return snap
 
     async def query_value(self, problem: Optional[str] = None) -> Any:
-        """The problem's optimum at the latest batch boundary."""
+        """The problem's optimum at the latest batch boundary.
+
+        Like :meth:`query_label`, it never builds the snapshot's ``output``.
+        """
         return self.snapshot(problem).value
 
     async def query_label(self, node: Hashable, problem: Optional[str] = None) -> Any:

@@ -11,7 +11,9 @@ The store relies on the single-writer discipline of the serving layer:
 only the batcher's apply path publishes, readers only ever call
 :meth:`SnapshotStore.current`.  Publication atomicity comes from Python
 reference assignment (a reader holds either the old dict or the new one);
-no locks are needed because snapshots are immutable once published.
+no locks are needed because snapshots are immutable once published.  The
+one deferred part of a snapshot, its ``output``, is built on first read
+behind the view's own lock (see :class:`~repro.dynamic.SolvedView`).
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ class Snapshot:
 
     @property
     def output(self) -> Any:
+        """The problem's output at this snapshot's version.
+
+        Built on the first read, on the reading thread (the event loop, for
+        a :class:`~repro.serving.TreeServer`'s readers), once per version;
+        :attr:`value` and the label mappings never build it.
+        """
         return self.view.output
 
 

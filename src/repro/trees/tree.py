@@ -235,6 +235,24 @@ class RootedTree:
             edge_data=dict(self.edge_data),
         )
 
+    def payload_snapshot(self) -> "RootedTree":
+        """A copy with its own payload dicts that shares this tree's structure.
+
+        ``parent`` and the children cache (if built) are shared, not
+        copied, so the copy costs two shallow dict copies.  It keeps the
+        payloads of this moment for as long as only payloads change and
+        each change replaces a payload wholesale, which is the incremental
+        update model (:mod:`repro.dynamic`); the payload objects themselves
+        are shared.
+        """
+        return RootedTree(
+            root=self.root,
+            parent=self.parent,
+            node_data=dict(self.node_data),
+            edge_data=dict(self.edge_data),
+            _children=self._children,
+        )
+
     def relabeled(self) -> Tuple["RootedTree", Dict[NodeId, int]]:
         """A copy with nodes relabeled 0..n-1 in BFS order; returns the map."""
         order = self.bfs_order()

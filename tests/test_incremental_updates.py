@@ -35,6 +35,7 @@ from repro.dynamic import (
 )
 from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
 from repro.problems.max_weight_matching import MaxWeightMatching
+from repro.problems.min_weight_vertex_cover import MinWeightVertexCover
 from repro.problems.registry import table1_entries
 from repro.problems.weighted_max_sat import WeightedMaxSAT
 from repro.problems.xml_validation import XMLStructureValidation
@@ -380,6 +381,28 @@ def test_update_charges_strictly_less_than_full_solve():
     assert DP_PASS_LABEL in labels and DP_UPDATE_LABEL in labels
     word_labels = inc.prepared.sim.stats.charged_words_by_label
     assert DP_PASS_LABEL in word_labels and DP_UPDATE_LABEL in word_labels
+
+
+def test_group_members_report_their_own_update_rounds():
+    """A member's result counts the ``"dp-update"`` rounds of its own
+    passes (its reports' ``rounds_charged``, ``refresh()`` included), not
+    the deployment's total, which the group's members share."""
+    tree = _weighted_random_tree(200, 3)
+    prepared = prepare(tree)
+    group = IncrementalSolverGroup(prepared, [MaxWeightIndependentSet(), MinWeightVertexCover()])
+    nodes = sorted(tree.nodes())
+    charged = dict.fromkeys(group.problems, 0)
+    for step in range(3):
+        reports = group.apply_updates([node_update(nodes[5 + step], 7.0 + step)])
+        for name, report in reports.items():
+            charged[name] += report.rounds_charged
+    for name, report in group.refresh().items():
+        charged[name] += report.rounds_charged
+    for name in group.problems:
+        assert charged[name] > 0
+        assert group.solver(name).as_pipeline_result().rounds["dp-update"] == charged[name]
+    total = prepared.sim.stats.charged_by_label[DP_UPDATE_LABEL]
+    assert sum(charged.values()) == total
 
 
 @pytest.mark.parametrize("family", ["path", "binary", "random", "caterpillar"])

@@ -185,6 +185,32 @@ def test_serving_batches_reuse_the_plan():
     assert prepared.clustering._dp_plan is plan
 
 
+def test_shipped_clustering_leaves_out_the_update_indices():
+    """The update path's ownership indices stay on the driver: building
+    them does not change what the pool pickles, and an unpickled copy
+    rebuilds them to the same answers."""
+    tree = _weighted(n=400, seed=6)
+    prepared = prepare(tree)
+    solve_on(prepared, MaxWeightIndependentSet())
+    hc = prepared.clustering
+    before = pickle.dumps(hc)
+    owner = hc.parent_cluster_of_element()
+    edge_owner = hc.edge_internal_owner()
+    in_owners = hc.in_edge_owners()
+    deps = hc.boundary_dependents()
+    after = pickle.dumps(hc)
+    assert len(after) == len(before)
+    shipped = pickle.loads(after)
+    assert shipped.parent_cluster_of_element() == owner
+    assert shipped.edge_internal_owner() == edge_owner
+    assert shipped.in_edge_owners() == in_owners
+    assert shipped.boundary_dependents() == deps
+    nodes = hc.tree.nodes()
+    assert [shipped.node_owner(v) for v in nodes] == [hc.node_owner(v) for v in nodes]
+    cids = sorted(hc.clusters)
+    assert [shipped.parent_chain(c) for c in cids] == [hc.parent_chain(c) for c in cids]
+
+
 def test_pool_workers_reuse_the_shipped_plan():
     """Workers receive the driver's plan with the shipped clustering: their
     batches (built by the worker's own helper from the unpickled clustering,

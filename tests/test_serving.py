@@ -8,6 +8,8 @@ The acceptance contract of :mod:`repro.serving`:
   test);
 * reads are snapshot-isolated — a reader racing a write batch observes a
   complete pre- or post-batch state, never a torn one;
+* publication extracts no output: a snapshot's ``output`` is built on its
+  first read, once, from its own version, even after later batches;
 * a batch poisoned mid-pass fails only its own submitters, keeps serving
   the pre-batch snapshot, and the next batch heals bit-identically (the
   incremental layer's pending-dirty path, driven through the server);
@@ -27,7 +29,9 @@ legs pin their backends explicitly.
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
+import sys
 import threading
 import time
 
@@ -47,6 +51,7 @@ from repro.problems.max_weight_independent_set import MaxWeightIndependentSet
 from repro.problems.max_weight_matching import MaxWeightMatching
 from repro.problems.min_weight_dominating_set import MinWeightDominatingSet
 from repro.problems.min_weight_vertex_cover import MinWeightVertexCover
+from repro.problems.subtree_aggregation import RootToNodeSum
 from repro.serving import (
     ServerClosedError,
     ServerConfig,
@@ -54,6 +59,7 @@ from repro.serving import (
     SnapshotStore,
 )
 from repro.trees import generators as gen
+from repro.trees.tree import RootedTree
 
 from tests.conftest import ValueKeyedMatching
 
@@ -376,6 +382,132 @@ def test_reads_are_served_while_a_batch_builds_its_snapshots():
 
 
 # --------------------------------------------------------------------------- #
+# Output on first read
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "make_problem",
+    [RootToNodeSum, MWIS, MaxWeightMatching],
+    ids=["root-to-node-sum", "mwis", "mwm"],
+)
+def test_kept_snapshot_output_is_built_from_its_own_version(make_problem):
+    """A snapshot kept across a batch that rewrites the same payloads builds,
+    on its first read, the output of its own version.  RootToNodeSum's
+    extract reads node payloads, so an output built from the live tree
+    would carry the later batch's payload."""
+    n = 120
+    tree = _tree(n=n, seed=31)
+    server = _prepared(tree, n).serve(make_problem())
+    target = sorted(tree.nodes())[7]
+    edge = (target, tree.parent[target])
+
+    def batch(weight):
+        return [node_update(target, weight), edge_update(edge, weight)]
+
+    async def main():
+        async with server:
+            await server.update(batch(1000.0))
+            kept = server.snapshot()
+            version1 = RootedTree(
+                root=tree.root,
+                parent=dict(tree.parent),
+                node_data=dict(tree.node_data),
+                edge_data=dict(tree.edge_data),
+            )
+            await server.update(batch(0.001))
+            return kept, version1
+
+    kept, version1 = asyncio.run(main())
+    latest = server.snapshot()
+    assert (kept.version, latest.version) == (1, 2)
+    assert kept.output == solve(version1, make_problem()).output
+    assert latest.output == solve(tree, make_problem()).output
+    assert kept.output != latest.output, "the second batch must change the output"
+
+
+def test_publication_extracts_nothing_until_output_is_read():
+    """Publishing a batch builds no output: over a 20-batch stream whose
+    reads query values and labels only, no member calls ``extract``.
+    Reading one snapshot's output twice extracts once."""
+    n = 120
+    tree = _tree(n=n, seed=33)
+    problems = [MWIS(), MaxWeightMatching()]
+    server = _prepared(tree, n).serve(problems)
+    calls = dict.fromkeys(server.problems, 0)
+
+    def counting(name, extract, *args):
+        calls[name] += 1
+        return extract(*args)
+
+    for name, member in server.group.solvers.items():
+        member.solver.extract = functools.partial(counting, name, member.solver.extract)
+    rng = random.Random(8)
+    nodes = sorted(tree.nodes())
+
+    async def main():
+        async with server:
+            for _ in range(20):
+                await server.update(node_update(rng.choice(nodes), rng.uniform(0.1, 9.9)))
+                for p in problems:
+                    await server.query_value(p.name)
+                    await server.query_label(nodes[3], p.name)
+
+    asyncio.run(main())
+    assert server.version == 20
+    assert calls == dict.fromkeys(server.problems, 0)
+    snap = server.snapshot(MWIS.name)
+    first = snap.output
+    assert snap.output is first
+    assert calls == {MWIS.name: 1, MaxWeightMatching.name: 0}
+    assert first == solve(tree, MWIS()).output
+
+
+def test_concurrent_first_reads_build_the_output_once():
+    """Readers racing on fresh views' outputs (more threads than cores, a
+    shortened switch interval) build each output once and all get the same
+    object.  Neither equality nor ``repr`` sees whether it was built."""
+    tree = _tree(n=60, seed=34)
+    group = IncrementalSolverGroup(_prepared(tree, 60), [MWIS()])
+    member = group.solver()
+    extract = member.solver.extract
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return extract(*args)
+
+    member.solver.extract = counted
+    views = [group.view() for _ in range(20)]
+    threads = 8
+    results = [[] for _ in views]
+    start = threading.Barrier(threads)
+
+    def read():
+        start.wait(10)
+        for got, view in zip(results, views):
+            got.append(view.output)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read, daemon=True) for _ in range(threads)]
+        for r in readers:
+            r.start()
+        for r in readers:
+            r.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(r.is_alive() for r in readers)
+    assert len(calls) == len(views)
+    for got in results:
+        assert len(got) == threads and all(x is got[0] for x in got)
+    unread = group.view()
+    assert unread == views[0] and repr(unread) == repr(views[0])
+    assert "_output" not in repr(unread)
+
+
+# --------------------------------------------------------------------------- #
 # Failure containment and healing
 # --------------------------------------------------------------------------- #
 
@@ -652,8 +784,8 @@ def test_snapshot_store_refuses_version_regression():
                 root_label=None,
                 node_labels={},
                 edge_labels={},
-                output=None,
                 updates_applied=v,
+                build_output=lambda: None,
             ),
         )
 
