@@ -7,8 +7,8 @@ answering snapshot reads, with reads never blocking on the solver pass
 from-scratch ``solve()`` at the same batch boundary.
 
 This experiment drives one server with a writer streaming update batches
-and several concurrent reader tasks calling ``snapshot()`` with a short
-pause between reads, and measures:
+and several concurrent reader tasks hammering ``snapshot()`` /
+``query_value()``, and measures:
 
 * **sustained update throughput** — point updates applied per second over
   the whole run (solver pass + snapshot publication included);
@@ -40,12 +40,6 @@ SEED = 9
 BATCHES = scaled(150, 25)
 UPDATES_PER_BATCH = 8
 READERS = 4
-#: Each reader's pause between reads.  Readers that never let the event
-#: loop block keep the GIL busy; the writer thread's solver pass releases
-#: it around its NumPy calls and then waits to get it back, so such readers
-#: stretch a batch from tens of milliseconds to seconds (n = 10^4, 2 vCPUs)
-#: and pile up read samples without bound.
-READ_PAUSE_S = 0.001
 
 
 def _percentiles(samples):
@@ -84,7 +78,7 @@ def _measure():
             snap = server.snapshot()
             read_times.append(time.perf_counter() - t0)
             assert snap.version <= server.version
-            await asyncio.sleep(READ_PAUSE_S)
+            await asyncio.sleep(0)
 
     async def main():
         async with server:
@@ -111,7 +105,6 @@ def _measure():
         "batches": BATCHES,
         "updates_per_batch": UPDATES_PER_BATCH,
         "readers": READERS,
-        "read_pause_s": READ_PAUSE_S,
         "wall_seconds": wall,
         "updates_per_sec": health["updates_applied"] / wall,
         "batches_per_sec": health["batches_applied"] / wall,

@@ -108,11 +108,34 @@ class PreparedTree:
     #: "degree_reduction", "clustering") — the benchmark harness reports them
     #: (see benchmarks/bench_pipeline.py).
     timings: Dict[str, float] = field(default_factory=dict)
+    # (payload epoch, payload snapshot of the reduced tree at that epoch).
+    _payload_snapshot: Optional[Tuple[int, RootedTree]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def tree(self) -> RootedTree:
         """The degree-reduced tree the clustering was built for."""
         return self.clustering.tree
+
+    def payload_snapshot(self) -> RootedTree:
+        """The reduced tree with its payloads as of now, copied once per epoch.
+
+        A :meth:`~repro.trees.tree.RootedTree.payload_snapshot` (two
+        payload dict copies over the shared structure), keyed by the
+        clustering's ``payload_epoch``, which every payload write advances.
+        Every solver on this deployment shares it, so an update batch costs
+        one copy however many problems read it.  Deferred
+        :class:`~repro.dynamic.SolvedView` outputs read it, because some
+        extracts read payloads (``DownwardAccumulationSolver.extract`` reads
+        ``node_data``).
+        """
+        epoch = self.clustering.payload_epoch
+        latest = self._payload_snapshot
+        if latest is None or latest[0] != epoch:
+            latest = (epoch, self.tree.payload_snapshot())
+            self._payload_snapshot = latest
+        return latest[1]
 
     def engine(self) -> DPEngine:
         return DPEngine(self.clustering, self.reduction, sim=self.sim)

@@ -72,12 +72,11 @@ from typing import (
 
 import numpy as np
 
-from repro.clustering.model import HierarchicalClustering, cluster_element
+from repro.clustering.model import cluster_element
 from repro.core.pipeline import PipelineResult, PreparedTree, as_cluster_dp
 from repro.dp.engine import DP_UPDATE_LABEL, ROUNDS_PER_LAYER, SolveResult
 from repro.mpc.simulator import RoundStats
 from repro.obs import DEFAULT_SIZE_BUCKETS, clock
-from repro.trees.tree import RootedTree
 
 __all__ = [
     "ConcurrentUpdateError",
@@ -261,30 +260,6 @@ def summaries_equal(a: Any, b: Any) -> bool:
         return False
 
 
-class _PayloadSnapshot:
-    """The reduced tree as of the latest payload write, payloads copied once.
-
-    A view's deferred output may only read its own version, and some
-    extracts read payloads (``DownwardAccumulationSolver.extract`` reads
-    ``node_data``).  The copy is a :meth:`~repro.trees.tree.RootedTree.payload_snapshot`:
-    two payload dict copies over the shared structure.  It is keyed by the
-    clustering's ``payload_epoch``, which every payload write advances, so
-    the members of a group share one copy per batch.
-    """
-
-    def __init__(self, hc: HierarchicalClustering) -> None:
-        self._hc = hc
-        self._latest: Optional[Tuple[int, RootedTree]] = None
-
-    def current(self) -> RootedTree:
-        epoch = self._hc.payload_epoch
-        latest = self._latest
-        if latest is None or latest[0] != epoch:
-            latest = (epoch, self._hc.tree.payload_snapshot())
-            self._latest = latest
-        return latest[1]
-
-
 class IncrementalSolver:
     """A solved DP problem on a prepared tree that accepts point updates.
 
@@ -367,9 +342,6 @@ class IncrementalSolver:
         #: ``"dp-update"`` rounds charged by this solver's own passes: the
         #: sum of its reports' ``rounds_charged``, :meth:`refresh` included.
         self.update_rounds = 0
-        #: Payload snapshots for the views' deferred outputs; a group hands
-        #: its members one shared instance.
-        self._payloads = _PayloadSnapshot(self.hc)
         #: Dirty clusters of a batch whose solve phase raised mid-pass (a
         #: payload the problem's rules reject, a strict-mode capacity
         #: violation).  Payloads are written before the passes run, so on
@@ -746,13 +718,14 @@ class IncrementalSolver:
 
         ``output`` is not extracted here but on its first read (see
         :class:`SolvedView`), from this version's un-projected label copy,
-        root label, value and payload snapshot (one per batch, shared by a
-        group's members).
+        root label, value and the deployment's payload snapshot
+        (:meth:`~repro.core.pipeline.PreparedTree.payload_snapshot`, one per
+        batch, shared by every solver on the prepared tree).
         """
         edge_labels, node_labels = self._label_snapshots()
         build_output = functools.partial(
             self.solver.extract,
-            self._payloads.current(),
+            self.prepared.payload_snapshot(),
             edge_labels,
             self.root_label,
             self.value,
@@ -819,10 +792,6 @@ class IncrementalSolverGroup:
             name: IncrementalSolver(prepared, p, backend=backend, **solver_kwargs)
             for name, p in zip(names, problems)
         }
-        # One payload snapshot per batch for every member's views.
-        payloads = _PayloadSnapshot(prepared.clustering)
-        for s in self.solvers.values():
-            s._payloads = payloads
         self.updates_applied = 0
 
     @property

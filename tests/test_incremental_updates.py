@@ -40,6 +40,7 @@ from repro.problems.registry import table1_entries
 from repro.problems.weighted_max_sat import WeightedMaxSAT
 from repro.problems.xml_validation import XMLStructureValidation
 from repro.trees import generators as gen
+from repro.trees.tree import RootedTree
 
 from tests.conftest import FAMILIES, ValueKeyedMatching
 
@@ -403,6 +404,39 @@ def test_group_members_report_their_own_update_rounds():
         assert group.solver(name).as_pipeline_result().rounds["dp-update"] == charged[name]
     total = prepared.sim.stats.charged_by_label[DP_UPDATE_LABEL]
     assert sum(charged.values()) == total
+
+
+def test_solvers_on_one_prepared_tree_share_one_payload_copy_per_batch(monkeypatch):
+    """Views of every solver on a prepared tree, grouped or lone, take one
+    payload copy per payload epoch, and a copy keeps its epoch's payloads
+    after later writes."""
+    copies = []
+    payload_snapshot = RootedTree.payload_snapshot
+
+    def counted(tree):
+        copies.append(None)
+        return payload_snapshot(tree)
+
+    monkeypatch.setattr(RootedTree, "payload_snapshot", counted)
+    tree = _weighted_random_tree(200, 4)
+    prepared = prepare(tree)
+    group = IncrementalSolverGroup(prepared, [MaxWeightIndependentSet(), MaxWeightMatching()])
+    lone = IncrementalSolver(prepared, MinWeightVertexCover())
+    group.views()
+    lone.view()
+    first = prepared.payload_snapshot()
+    assert len(copies) == 1
+    assert first.parent is prepared.tree.parent
+    v = sorted(tree.nodes())[9]
+    before = first.node_data[v]
+    for step in range(3):
+        group.apply_updates([node_update(v, 50.0 + step)])
+        group.views()
+        group.views()
+    assert len(copies) == 4
+    assert first.node_data[v] == before
+    assert prepared.payload_snapshot().node_data[v] == prepared.tree.node_data[v]
+    assert prepared.tree.node_data[v] != before
 
 
 @pytest.mark.parametrize("family", ["path", "binary", "random", "caterpillar"])
