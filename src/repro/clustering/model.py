@@ -221,18 +221,10 @@ class HierarchicalClustering:
     final_cluster_id: int
     stats: Dict[str, Any] = field(default_factory=dict)
 
-    # Lazily built ownership indices used by the incremental update path
-    # (repro.dynamic).  They depend only on the clustering's structure, which
-    # is immutable for its lifetime, so they are computed once and shared.
-    _element_owner: Optional[Dict[Element, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _edge_owner: Optional[Dict[Tuple[Hashable, Hashable], int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _in_edge_owners: Optional[Dict[Tuple[Hashable, Hashable], Tuple[int, ...]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Lazily built dependency index of the incremental update path's
+    # top-down relabel (repro.dynamic).  It depends only on the clustering's
+    # structure, which is immutable for its lifetime, so it is computed once
+    # and shared.
     _boundary_dependents: Optional[Dict[Tuple[Hashable, Hashable], Tuple[int, ...]]] = (
         field(default=None, init=False, repr=False, compare=False)
     )
@@ -244,12 +236,12 @@ class HierarchicalClustering:
     #: it, so a payload write makes the next pooled solve ship fresh payloads.
     payload_epoch: int = field(default=0, init=False, repr=False, compare=False)
 
-    # The ownership indices serve only the driver's update path and rebuild
+    # The dependency index serves only the driver's update path and rebuilds
     # on first use, so pickled copies (the exec pool's workers) go without
-    # them.  Until built they are class-level ``None`` defaults, absent
-    # from ``__dict__``, so the pickle of a clustering that never built
-    # them is the plain ``__dict__`` one.
-    _DRIVER_INDICES = ("_element_owner", "_edge_owner", "_in_edge_owners", "_boundary_dependents")
+    # it.  Until built it is a class-level ``None`` default, absent from
+    # ``__dict__``, so the pickle of a clustering that never built it is the
+    # plain ``__dict__`` one.
+    _DRIVER_INDICES = ("_boundary_dependents",)
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
@@ -311,65 +303,9 @@ class HierarchicalClustering:
             counts[cid] = total
         return counts
 
-    def parent_cluster_of_element(self) -> Dict[Element, int]:
-        """Map from every element to the cluster id that absorbs it (cached).
-
-        Callers must treat the returned mapping as read-only.
-        """
-        if self._element_owner is None:
-            owner: Dict[Element, int] = {}
-            for cid, c in self.clusters.items():
-                for e in c.elements:
-                    owner[e] = cid
-            self._element_owner = owner
-        return self._element_owner
-
     # ------------------------------------------------------------------ #
-    # Ownership / dirty-set queries (the incremental update path)
+    # Dependency queries (the incremental update path)
     # ------------------------------------------------------------------ #
-
-    def node_owner(self, v: Hashable) -> int:
-        """Id of the cluster whose local solve reads node ``v``'s payload.
-
-        Every tree node becomes a node element of exactly one cluster; that
-        cluster's per-element computation is the only place the DP framework
-        feeds ``v``'s payload into ``node_init``/``transition``/``finalize``
-        (through :meth:`~repro.dp.problem.ClusterContext.node_input`).
-        """
-        return self.parent_cluster_of_element()[node_element(v)]
-
-    def edge_internal_owner(self) -> Dict[Tuple[Hashable, Hashable], int]:
-        """For every tree edge, the cluster it is internal to (cached).
-
-        Every edge of the (degree-reduced) tree connects two elements of
-        exactly one cluster — the paper's "each edge constraint is counted
-        exactly once" invariant — and appears in that cluster's
-        ``internal_edges``.
-        """
-        if self._edge_owner is None:
-            owner: Dict[Tuple[Hashable, Hashable], int] = {}
-            for cid, c in self.clusters.items():
-                for _child, _parent, edge in c.internal_edges:
-                    owner[edge] = cid
-            self._edge_owner = owner
-        return self._edge_owner
-
-    def in_edge_owners(self) -> Dict[Tuple[Hashable, Hashable], Tuple[int, ...]]:
-        """Clusters whose *incoming* edge is the given edge (cached).
-
-        Nested indegree-one clusters on one hole path can share the same
-        incoming edge, so this is a multimap.  The innermost such cluster is
-        the one whose local solve applies the edge's transition constraint
-        (the hole pseudo-child is absorbed through it); the others depend on
-        that cluster's summary and sit on its parent chain anyway.
-        """
-        if self._in_edge_owners is None:
-            owners: Dict[Tuple[Hashable, Hashable], List[int]] = {}
-            for cid, c in self.clusters.items():
-                if c.in_edge is not None:
-                    owners.setdefault(c.in_edge, []).append(cid)
-            self._in_edge_owners = {e: tuple(cids) for e, cids in owners.items()}
-        return self._in_edge_owners
 
     def boundary_dependents(self) -> Dict[Tuple[Hashable, Hashable], Tuple[int, ...]]:
         """Clusters whose top-down boundary labels read the given edge (cached).
@@ -389,21 +325,6 @@ class HierarchicalClustering:
                     deps.setdefault(c.in_edge, []).append(cid)
             self._boundary_dependents = {e: tuple(cids) for e, cids in deps.items()}
         return self._boundary_dependents
-
-    def parent_chain(self, cid: int) -> List[int]:
-        """Cluster ids strictly above ``cid`` on its absorption chain.
-
-        Follows "which cluster absorbs this cluster's element" up to the
-        final cluster.  Layers strictly increase along the chain, so its
-        length is at most ``num_layers - 1`` — the paper's O(log n) dirty
-        chain of a point update.
-        """
-        owner = self.parent_cluster_of_element()
-        chain: List[int] = []
-        while cid != self.final_cluster_id:
-            cid = owner[cluster_element(cid)]
-            chain.append(cid)
-        return chain
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.clustering.degree_reduction import DegreeReductionResult
 from repro.clustering.model import Cluster, HierarchicalClustering
 from repro.dp.kernels.plan import ClusteringPlan, LayerBatch, clustering_plan
@@ -120,11 +122,15 @@ class DPEngine:
         return clustering_plan(self.hc, self.reduction)
 
     def layer_batch(
-        self, layer: int, cids: Optional[Iterable[int]], summaries: Mapping[int, Any]
+        self,
+        layer: int,
+        cids: Optional[Iterable[int]],
+        summaries: Mapping[int, Any],
+        dirty: Optional[np.ndarray] = None,
     ) -> LayerBatch:
         """A :class:`LayerBatch` of ``cids`` (``None``: the whole layer)."""
         sizer = self.sim.word_size if self.sim is not None else None
-        return self.plan().batch(layer, cids, summaries, sizer)
+        return self.plan().batch(layer, cids, summaries, sizer, dirty)
 
     def boundary_labels(
         self, batch: LayerBatch, edge_labels: Mapping[Any, Any], root_label: Any
@@ -170,21 +176,27 @@ class DPEngine:
         cids_by_layer: Mapping[int, Optional[Sequence[int]]],
         label: str = DP_PASS_LABEL,
         session=None,
+        dirty: Optional[Mapping[int, np.ndarray]] = None,
     ) -> int:
         """Bottom-up pass over the given clusters only (``summaries`` updated).
 
         ``cids_by_layer`` maps layer index → ids of the clusters of that layer
         to (re-)summarize (``None``: the whole layer); every other cluster's
         entry in ``summaries`` is reused as-is, which is what makes the
-        incremental update path's partial re-solve possible.  Layers are
-        processed in ascending order and each touched layer is handed to the
-        solver as one :class:`LayerBatch` (the engine's parallel unit),
-        exactly like the full pass; rounds and the routed summary words are
-        charged per listed layer under ``label``.  A listed layer with no
-        clusters still charges its rounds (and zero words) — the full solve
-        lists every layer, including the empty ones some trees produce, and
-        its round count must stay identical to the top-down pass's and to
-        previous releases.  Returns the number of rounds charged.
+        incremental update path's partial re-solve possible.  ``dirty``
+        narrows it further: it maps a layer to the element indices of its
+        listed clusters whose inputs changed, handed to the solver as
+        :attr:`LayerBatch.dirty`, and a dense solver then re-solves only those
+        elements and their ancestors (``None``, or a layer it does not list:
+        whole clusters).  Layers are processed in ascending order and each
+        touched layer is handed to the solver as one :class:`LayerBatch` (the
+        engine's parallel unit), exactly like the full pass; rounds and the
+        routed summary words are charged per listed layer under ``label``,
+        whatever ``dirty`` narrows.  A listed layer with no clusters still
+        charges its rounds (and zero words) — the full solve lists every
+        layer, including the empty ones some trees produce, and its round
+        count must stay identical to the top-down pass's and to previous
+        releases.  Returns the number of rounds charged.
 
         ``session`` is an open exec-backend DP session (see
         :meth:`_exec_session`): when given, each layer batch is evaluated on
@@ -195,7 +207,9 @@ class DPEngine:
         obs = self.obs
         charged = 0
         for layer in sorted(cids_by_layer):
-            batch = self.layer_batch(layer, cids_by_layer[layer], summaries)
+            batch = self.layer_batch(
+                layer, cids_by_layer[layer], summaries, None if dirty is None else dirty.get(layer)
+            )
             with obs.trace(
                 "dp.layer",
                 dp_pass="bottom-up",

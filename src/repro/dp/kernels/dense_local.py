@@ -6,6 +6,16 @@ clusters, or a row selection of them (a pool slot's clusters, an update
 batch's dirty clusters) — reading the structure from the compiled
 :class:`~repro.dp.kernels.plan.LayerPlan`:
 
+* **Changed paths only.**  The tables persist per layer across batches
+  (``_LayerStore``).  A batch that names its dirty elements
+  (``LayerBatch.dirty``: an update's payload and sub-cluster seeds)
+  re-solves just those and their ancestors inside each cluster; every
+  other element of a row keeps the table the last pass left, which is
+  still exact because none of its inputs changed.  Rows whose stored
+  tables are not ``valid`` re-solve whole.  The summaries are read off the
+  top rows either way, and words are priced per row, so the charges do not
+  depend on how much of a row was re-solved.
+
 * **Hole batching.**  Every element on the hole path of an indegree-one
   cluster carries one table row per hole state (``H = S`` rows), so one pass
   produces the full (top state × below state) summary matrix; elements off
@@ -131,11 +141,11 @@ class DenseClusterKernel:
             self._states[i] = state
         #: Per-layer bottom-up state (tables + backpointers) of the plan the
         #: last batch came from.  Persistent across solves on purpose: the
-        #: incremental update path re-solves a few clusters' rows and later
-        #: relabels untouched clusters from the rows the last solve wrote,
-        #: which stay consistent because a cluster is only skipped by the
-        #: partial bottom-up when neither its payloads nor its element
-        #: summaries changed.
+        #: incremental update path re-solves the changed element paths of a
+        #: few clusters and later relabels untouched clusters from the rows
+        #: the last solve wrote, which stay consistent because an element is
+        #: only skipped by the partial bottom-up when neither its payloads
+        #: nor the tables and summaries below it changed.
         self._plan: Optional[ClusteringPlan] = None
         self._stores: Dict[int, _LayerStore] = {}
         self._costs: Dict[Sizer, Tuple[int, int, np.ndarray]] = {}
@@ -143,6 +153,10 @@ class DenseClusterKernel:
         #: their bottom-up rows (a pool worker respawned mid-solve).
         self.trace_hits: int = 0
         self.trace_misses: int = 0
+        #: Element tables the bottom-up pass computed, and the stacked
+        #: kernel programs (node and sub-cluster groups) it ran for them.
+        self.bottom_up_elements: int = 0
+        self.bottom_up_calls: int = 0
 
     # ------------------------------------------------------------------ #
     # Caches and observability
@@ -155,7 +169,8 @@ class DenseClusterKernel:
     def cache_stats(self) -> Dict[str, int]:
         """Flat cache-behaviour counters for the observability gauges.
 
-        Covers the backpointer store (size, hits/misses), the payload-value
+        Covers the backpointer store (size, hits/misses), the bottom-up work
+        (element tables computed, stacked kernel calls), the payload-value
         keyed rule caches on :attr:`tensors`, and the tensor
         enumeration/recompose counters.
         """
@@ -164,6 +179,8 @@ class DenseClusterKernel:
             "trace_bytes": self.trace_store_bytes(),
             "trace_hits": self.trace_hits,
             "trace_misses": self.trace_misses,
+            "bottom_up_elements": self.bottom_up_elements,
+            "bottom_up_calls": self.bottom_up_calls,
             "value_entries": sum(t.value_cache_sizes().values()),
             "value_hits": t.value_cache_hits(),
             "value_misses": t.value_cache_misses(),
@@ -204,9 +221,25 @@ class DenseClusterKernel:
     def summarize_layer(self, batch: LayerBatch) -> Tuple[List[Any], int]:
         """Summaries of the batch's clusters (row order) and their words."""
         st = self._store(batch)
-        self._bottom_up(batch, st)
+        self._bottom_up(batch, st, self._to_solve(batch, st))
         st.valid[batch.rows] = True
         return self._summaries(batch, st), self.summary_words(batch)
+
+    def _to_solve(self, batch: LayerBatch, st: _LayerStore) -> np.ndarray:
+        """The batch's elements whose tables this pass recomputes (ascending).
+
+        Every element when the batch names no dirty set.  Otherwise the
+        dirty elements and their ancestors, plus every element of the rows
+        whose stored tables are not valid (never solved by this kernel).
+        """
+        if batch.dirty is None:
+            return batch.elements
+        lp = batch.layer
+        el = batch.plan.seed_index().paths(lp.layer, batch.dirty)
+        stale = batch.rows[~st.valid[batch.rows]]
+        if len(stale):
+            el = np.union1d(el, lp.elements_of(stale))
+        return el
 
     def summary_words(self, batch: LayerBatch) -> int:
         """Routed words of the batch's summaries, from their shapes."""
@@ -244,7 +277,7 @@ class DenseClusterKernel:
         n_stale = int(np.count_nonzero(stale))
         if n_stale:
             sub = batch.select(rows[stale])
-            self._bottom_up(sub, st)
+            self._bottom_up(sub, st, sub.elements)
             st.valid[sub.rows] = True
         self.trace_misses += n_stale
         self.trace_hits += len(rows) - n_stale
@@ -330,10 +363,14 @@ class DenseClusterKernel:
     # Bottom-up pass
     # ------------------------------------------------------------------ #
 
-    def _bottom_up(self, batch: LayerBatch, st: _LayerStore) -> None:
-        """Fill the tables (and backpointers) of every element of the batch."""
+    def _bottom_up(self, batch: LayerBatch, st: _LayerStore, el: np.ndarray) -> None:
+        """Fill the tables (and backpointers) of the batch's elements ``el``.
+
+        ``el`` holds each of its elements' ancestors; the tables of the
+        children outside it are read from ``st`` as the last pass left them.
+        """
+        self.bottom_up_elements += len(el)
         lp = batch.layer
-        el = batch.elements
         kind = lp.kind[el]
         leaves = el[kind == LEAF]
         if len(leaves):
@@ -383,6 +420,7 @@ class DenseClusterKernel:
         st.vals[rows] = kernel.reduce(cand, axis=3)
         if self.selective:
             st.bp[rows] = kernel.argreduce(cand, axis=3)
+        self.bottom_up_calls += 1
 
     def _node_signature(
         self, inp: NodeInput, edges: Sequence[EdgeInfo], lo: int, hi: int
@@ -602,6 +640,7 @@ class _NodeGroups:
                 st.bp[rows_out] = argreduce(cand, axis=2)
                 for j, step in enumerate(steps):
                     st.steps[st.sbase[slot0 + j][:, None] + hr] = step
+        dense.bottom_up_calls += 1
         return True
 
 

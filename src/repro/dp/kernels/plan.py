@@ -5,8 +5,9 @@ problem; each layer's clusters are solved independently in O(1) rounds
 (§1.4, §5).  A :class:`LayerPlan` is the problem-independent compile of one
 such layer as a handful of flat arrays (struct-of-arrays), so the dense
 backend can run both DP passes of a whole layer — or any row selection of
-it: a pool slot's clusters, an update batch's dirty clusters — as array
-programs instead of per-cluster Python walks.
+it: a pool slot's clusters, an update batch's dirty clusters, down to the
+changed element paths inside them — as array programs instead of
+per-cluster Python walks.
 
 Per layer, with ``C`` clusters, ``E`` elements and ``K`` child slots:
 
@@ -37,7 +38,8 @@ Those bake tree payloads, so a payload mutator must call
 change for the clustering's lifetime.  The plan is compiled on the first
 solve (never inside ``prepare()``), cached on the clustering, and shipped to
 exec workers with it — without the payload cache, which workers rebuild for
-the rows they touch.
+the rows they touch, and without the :class:`SeedIndex` the incremental
+update path seeds its batches from, which only the driver builds.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
     cast,
 )
@@ -69,6 +72,7 @@ __all__ = [
     "HOLE_CHILD",
     "LayerPlan",
     "ClusteringPlan",
+    "SeedIndex",
     "LayerBatch",
     "clustering_plan",
     "compile_count",
@@ -80,6 +84,9 @@ NODE, MAT, LEAF = 0, 1, 2
 HOLE_CHILD = -1
 
 Edge = Tuple[Hashable, Hashable]
+#: An element of the clustering: ``(layer, e)``, element index ``e`` of that
+#: layer's :class:`LayerPlan`.
+ElementAt = Tuple[int, int]
 
 _compiles = 0
 
@@ -267,6 +274,10 @@ class LayerPlan:
         """Element indices of the clusters ``rows`` (ascending for sorted rows)."""
         return _ranges(self.elem_ptr[rows], self.elem_ptr[rows + 1])
 
+    def element_rows(self, elements: np.ndarray) -> np.ndarray:
+        """The cluster row of each of ``elements``."""
+        return np.searchsorted(self.elem_ptr, elements, side="right") - 1
+
     def slots_of(self, elements: np.ndarray) -> np.ndarray:
         """Child slots of ``elements``, each element's in absorption order."""
         return _ranges(self.child_ptr[elements], self.child_ptr[elements + 1])
@@ -283,6 +294,10 @@ class ClusteringPlan:
     (``reduction.tree is hc.tree``); it is bound at compile time (one
     prepared tree, one clustering) and ships with the plan.
     """
+
+    # Built by seed_index() on the driver; until then the class default, so
+    # the pickle of a plan that never built it is the plain one.
+    _seed_index: Optional["SeedIndex"] = None
 
     def __init__(self, hc: HierarchicalClustering, reduction: DegreeReductionResult) -> None:
         global _compiles
@@ -303,10 +318,12 @@ class ClusteringPlan:
         self._edge_infos: List[Optional[EdgeInfo]] = [None] * n
 
     # The payload cache is rebuilt where it is used (it bakes payloads and
-    # would dominate the pickle); the structure ships as a few arrays.
+    # would dominate the pickle); the structure ships as a few arrays.  The
+    # seed index serves only the driver's update path.
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         del state["_node_inputs"], state["_edge_infos"]
+        state.pop("_seed_index", None)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -362,6 +379,12 @@ class ClusteringPlan:
         for edge in edges or ():
             self._edge_infos[index[edge[0]]] = None
 
+    def seed_index(self) -> "SeedIndex":
+        """The :class:`SeedIndex` of this plan, built on first use."""
+        if self._seed_index is None:
+            self._seed_index = SeedIndex(self)
+        return self._seed_index
+
     # -- batches ------------------------------------------------------------ #
 
     def batch(
@@ -370,6 +393,7 @@ class ClusteringPlan:
         cids: Optional[Iterable[int]],
         summaries: Mapping[int, Any],
         sizer: Optional[Callable[[Any], int]] = None,
+        dirty: Optional[np.ndarray] = None,
     ) -> "LayerBatch":
         """A :class:`LayerBatch` of ``cids`` (``None``: the whole layer)."""
         lp = self.layers[layer]
@@ -377,7 +401,108 @@ class ClusteringPlan:
         rows = (
             np.arange(lp.num_clusters, dtype=np.int64) if cids is None else lp.rows_of(cids)
         )
-        return LayerBatch(self, lp, rows, summaries, sizer)
+        return LayerBatch(self, lp, rows, summaries, sizer, dirty)
+
+
+class SeedIndex:
+    """Where a payload write or a changed summary enters the bottom-up.
+
+    Elements are :data:`ElementAt` pairs ``(layer, e)``.  Derived from the
+    plan's structural arrays on the driver, on first use, and never
+    pickled (the incremental update path is its only reader):
+
+    * ``node_at[i]``: the node element of node ``i``, the one element whose
+      tables read the node's payload;
+    * ``absorbed_at[cid]``: the sub-cluster element (``LEAF`` / ``MAT``) that
+      absorbs cluster ``cid`` (``(-1, -1)`` for the final cluster);
+    * ``edge_at[edge_ptr[i]:edge_ptr[i + 1]]``: the slot parent of every
+      child slot through edge ``i``: the edge's internal slot, and the hole
+      slot of each nested indegree-one cluster the edge enters;
+    * ``parent[layer][e]``: the parent of element ``e`` inside its cluster
+      (``-1`` at the top), from the ``child`` / ``slot_parent`` CSR;
+    * ``parent_cluster[cid]``: the cluster absorbing ``cid`` (``-1`` for
+      the final cluster).
+    """
+
+    def __init__(self, plan: ClusteringPlan) -> None:
+        i64 = np.int64
+        self.plan = plan
+        n = len(plan.node_ids)
+        C = len(plan.hc.clusters)
+        self.node_at = np.full((n, 2), -1, dtype=i64)
+        self.absorbed_at = np.full((C, 2), -1, dtype=i64)
+        self.parent_cluster = np.full(C, -1, dtype=i64)
+        self.parent: List[Optional[np.ndarray]] = [None]
+        slot_edge: List[np.ndarray] = []
+        slot_at: List[np.ndarray] = []
+        for lp in plan.layers[1:]:
+            assert lp is not None
+            at = np.empty((lp.num_elements, 2), dtype=i64)
+            at[:, 0] = lp.layer
+            at[:, 1] = np.arange(lp.num_elements)
+            node = lp.kind == NODE
+            self.node_at[lp.ref[node]] = at[node]
+            subs = lp.ref[~node]
+            self.absorbed_at[subs] = at[~node]
+            self.parent_cluster[subs] = lp.cids[lp.element_rows(np.flatnonzero(~node))]
+            parent = np.full(lp.num_elements, -1, dtype=i64)
+            real = lp.child != HOLE_CHILD
+            parent[lp.child[real]] = lp.slot_parent[real]
+            self.parent.append(parent)
+            slot_edge.append(lp.child_edge)
+            slot_at.append(at[lp.slot_parent])
+        edges = np.concatenate(slot_edge)
+        self.edge_ptr = _offsets(np.bincount(edges, minlength=n))
+        self.edge_at = np.concatenate(slot_at)[np.argsort(edges, kind="stable")]
+
+    def node(self, v: Hashable) -> ElementAt:
+        """The element whose tables read node ``v``'s payload."""
+        layer, e = self.node_at[self.plan.node_index[v]].tolist()
+        return layer, e
+
+    def edge(self, child: Hashable) -> List[ElementAt]:
+        """The elements whose tables read the payload of the edge above ``child``."""
+        i = self.plan.node_index[child]
+        at = self.edge_at[self.edge_ptr[i] : self.edge_ptr[i + 1]].tolist()
+        return [(layer, e) for layer, e in at]
+
+    def absorber(self, cid: int) -> ElementAt:
+        """The element whose tables read cluster ``cid``'s summary."""
+        layer, e = self.absorbed_at[cid].tolist()
+        return layer, e
+
+    def clusters(self, elements: Iterable[ElementAt]) -> Set[int]:
+        """Ids of the clusters holding ``elements``."""
+        at = np.array(list(elements), dtype=np.int64).reshape(-1, 2)
+        out: Set[int] = set()
+        for layer in np.unique(at[:, 0]).tolist():
+            lp = self.plan.layers[layer]
+            assert lp is not None
+            out.update(lp.cids[lp.element_rows(at[at[:, 0] == layer, 1])].tolist())
+        return out
+
+    def paths(self, layer: int, elements: np.ndarray) -> np.ndarray:
+        """``elements`` of ``layer`` and their ancestors inside their clusters
+        (ascending): every element whose tables depend on theirs."""
+        parent = self.parent[layer]
+        assert parent is not None
+        return np.flatnonzero(_upward(parent, np.asarray(elements, dtype=np.int64)))
+
+    def closure_size(self, cids: Iterable[int]) -> int:
+        """Number of clusters in ``cids`` or on their absorption chains."""
+        return int(np.count_nonzero(_upward(self.parent_cluster, np.fromiter(cids, np.int64))))
+
+
+def _upward(parent: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of ``start`` and every index above it along ``parent`` (-1: none)."""
+    seen = np.zeros(len(parent), dtype=bool)
+    cur = start
+    while len(cur):
+        seen[cur] = True
+        cur = parent[cur]
+        cur = cur[cur >= 0]
+        cur = cur[~seen[cur]]
+    return seen
 
 
 class LayerBatch:
@@ -386,6 +511,10 @@ class LayerBatch:
     ``rows`` are sorted cluster rows of ``layer``; ``summaries`` maps cluster
     ids to summaries and must hold every sub-cluster the rows absorb.
     ``sizer`` prices one routed record (``None``: no word accounting).
+    ``dirty`` lists the elements of the rows whose inputs changed since the
+    rows were last solved (a payload, a sub-cluster summary); ``None``
+    means every element.  A solver may re-solve only those elements and
+    their ancestors, or ignore it and solve whole rows.
     """
 
     def __init__(
@@ -395,12 +524,14 @@ class LayerBatch:
         rows: np.ndarray,
         summaries: Mapping[int, Any],
         sizer: Optional[Callable[[Any], int]] = None,
+        dirty: Optional[np.ndarray] = None,
     ) -> None:
         self.plan = plan
         self.layer = layer
         self.rows = rows
         self.summaries = summaries
         self.sizer = sizer
+        self.dirty = dirty
         self._elements: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
@@ -425,7 +556,7 @@ class LayerBatch:
         return lp.ie_edges[lp.edge_slots_of(self.rows)].tolist()
 
     def select(self, rows: np.ndarray) -> "LayerBatch":
-        """The sub-batch of ``rows`` (sorted rows of the same layer)."""
+        """The sub-batch of ``rows`` (sorted rows of the same layer, whole)."""
         return LayerBatch(self.plan, self.layer, rows, self.summaries, self.sizer)
 
     def edge_positions(self, sub: "LayerBatch") -> np.ndarray:

@@ -3,26 +3,35 @@
 After ``prepare()`` + one full solve, every weight tweak or payload edit used
 to pay a full bottom-up/top-down pass from scratch.  The cluster/layer
 decomposition localizes the effect of a *point* update: a node payload is
-read by exactly one cluster (the one absorbing its node element), an edge
-payload by at most the cluster it is internal to plus the nested
-indegree-one clusters it enters through — and a changed cluster summary can
-only affect the chain of clusters absorbing it, whose layers strictly
-increase.  A single-vertex update therefore dirties at most one cluster per
-layer (the paper's O(log n) chain; cf. Italiano & Mirrokni's dynamic-MPC
-framing), and the update path re-runs only those clusters' local solves.
+read by exactly one element (its node element), an edge payload by the
+elements that absorb a child through it (inside the cluster it is internal
+to, and at the hole of each nested indegree-one cluster it enters) — and a
+changed cluster summary only by the element absorbing that cluster, one
+layer or more up.  A single-vertex update therefore dirties at most one
+cluster per layer (the paper's O(log n) chain; cf. Italiano & Mirrokni's
+dynamic-MPC framing), and inside each of those clusters only the path from
+the changed element up to the cluster's top; the update path re-solves
+those paths, not whole clusters.
 
 :class:`IncrementalSolver` wraps a prepared tree plus one solved problem and
 accepts batched point updates without re-clustering:
 
-* **Partial bottom-up.**  Updates seed the clusters that own the touched
-  payloads; each touched layer's dirty clusters are re-summarized as one
+* **Partial bottom-up.**  Updates seed the elements that read the touched
+  payloads, looked up in the compiled plan's
+  :class:`~repro.dp.kernels.plan.SeedIndex` once per batch for a whole
+  group.  Each touched layer's dirty clusters are re-summarized as one
   batch through the same :meth:`~repro.dp.engine.DPEngine.summarize_clusters`
   path the full solve uses — a row selection of the compiled layer plan, so
   the vectorized kernels' grouped array programs and affine tensor
   decompositions are all reused (a weight-only edit inside one affine group
   re-*composes* tensors; it never re-enumerates the problem's scalar
-  rules).  A re-solved cluster whose summary comes out bit-identical stops
-  the chain — its parent's inputs did not change.
+  rules).  The batch names its dirty elements, and the dense kernels
+  re-solve only those and their ancestors; every other element keeps the
+  tables the last pass stored.  A re-solved cluster whose summary comes
+  out bit-identical stops the chain — its parent's inputs did not change;
+  one that changed dirties the element absorbing it.  Healing passes and
+  full re-solves trust no stored state: they re-solve whole clusters and
+  prune nothing.
 * **Partial top-down.**  Only re-solved clusters and clusters whose boundary
   (out-edge / in-edge) label changed re-derive internal labels; label
   changes propagate strictly downward through the hierarchy, so the pass
@@ -72,9 +81,9 @@ from typing import (
 
 import numpy as np
 
-from repro.clustering.model import cluster_element
 from repro.core.pipeline import PipelineResult, PreparedTree, as_cluster_dp
 from repro.dp.engine import DP_UPDATE_LABEL, ROUNDS_PER_LAYER, SolveResult
+from repro.dp.kernels.plan import ElementAt, SeedIndex
 from repro.mpc.simulator import RoundStats
 from repro.obs import DEFAULT_SIZE_BUCKETS, clock
 
@@ -337,7 +346,6 @@ class IncrementalSolver:
         self.obs = prepared.sim.obs
         self.hc = prepared.clustering
         self.full_resolve_threshold = full_resolve_threshold
-        self._owner = self.hc.parent_cluster_of_element()
         self.updates_applied = 0
         #: ``"dp-update"`` rounds charged by this solver's own passes: the
         #: sum of its reports' ``rounds_charged``, :meth:`refresh` included.
@@ -453,56 +461,60 @@ class IncrementalSolver:
         with self._apply_mutex:
             self._apply_active = False
 
-    def _resolve_batch(self, seeds: Set[int], num_updates: int, force_full: bool) -> UpdateReport:
+    def _seed_index(self) -> SeedIndex:
+        return self.engine.plan().seed_index()
+
+    def _resolve_batch(
+        self, seeds: Set[ElementAt], num_updates: int, force_full: bool
+    ) -> UpdateReport:
         """Re-solve the dirty chains seeded by an already-written batch.
 
         The per-member half of :func:`_write_batch`, which writes a batch's
-        payloads and computes its seed set *once* for all members.  Callers
-        must hold the apply guard (:meth:`_begin_apply`).
+        payloads and computes its element seeds *once* for all members.
+        Callers must hold the apply guard (:meth:`_begin_apply`).
         """
         sim = self.prepared.sim
         hc = self.hc
         obs = self.obs
+        index = self._seed_index()
         t0 = clock.now()
         # Payloads a failed earlier batch already wrote still need their
         # chains re-solved; fold them in so repair-and-reapply heals.  The
-        # failed pass may have written some of its chain summaries before
-        # raising, so while healing the chain-pruning equality test is
-        # unsound — a re-solved summary can equal the *poisoned* baseline
-        # the failed pass stored while the ancestors above it still reflect
-        # the old payload.  Heal with pruning disabled: the pending chains
-        # re-solve all the way to the final cluster.
+        # failed pass may have written some of its chain summaries and
+        # element tables before raising, so while healing neither is
+        # trusted: a re-solved summary can equal the *poisoned* baseline the
+        # failed pass stored while the ancestors above it still reflect the
+        # old payload, and a stored table may be half a pass old.  Heal with
+        # pruning disabled and whole clusters: the pending chains re-solve
+        # all the way to the final cluster.
         healing = bool(self._pending_dirty)
-        seeds = set(seeds) | self._pending_dirty
-        report = UpdateReport(updates=num_updates, dirty_seed_clusters=tuple(sorted(seeds)))
+        cids = index.clusters(seeds) | self._pending_dirty
+        report = UpdateReport(updates=num_updates, dirty_seed_clusters=tuple(sorted(cids)))
 
-        full = force_full
-        if not full and seeds:
-            closure = set(seeds)
-            for cid in seeds:
-                closure.update(hc.parent_chain(cid))
-            if len(closure) >= self.full_resolve_threshold * len(hc.clusters):
-                full = True
+        full = force_full or (
+            bool(cids)
+            and index.closure_size(cids) >= self.full_resolve_threshold * len(hc.clusters)
+        )
         if full:
             report.full_resolve = True
-            seeds = {cid for layer in hc.layers for cid in layer}
-        if not seeds:
+            cids = {cid for layer in hc.layers for cid in layer}
+        if not cids:
             report.value = self.value
             report.seconds = clock.now() - t0
             self._observe_report(report)
             return report
 
         snap = sim.snapshot()
-        self._pending_dirty = set(seeds)
+        self._pending_dirty = set(cids)
         with obs.trace(
             "incremental.resolve",
-            seeds=len(seeds),
+            seeds=len(cids),
             updates=num_updates,
             full=full,
             healing=healing,
         ) as span:
             resolved = self._partial_bottom_up(
-                seeds, skip_pruning=full or healing, report=report
+                cids, None if full or healing else seeds, report=report
             )
             self._partial_top_down(resolved, report)
             span.set(
@@ -548,31 +560,44 @@ class IncrementalSolver:
         self.engine.export_kernel_metrics(self.solver)
 
     def _partial_bottom_up(
-        self, seeds: Set[int], skip_pruning: bool, report: UpdateReport
+        self, cids: Set[int], seeds: Optional[Set[ElementAt]], report: UpdateReport
     ) -> Set[int]:
-        """Re-summarize the dirty chain; return the set of re-solved cids."""
+        """Re-summarize the dirty chains of ``cids``; return the re-solved cids.
+
+        ``seeds`` are the changed elements of ``cids``: with them, each layer
+        batch names its dirty elements (the kernels re-solve their paths
+        only) and a summary that comes out bit-identical ends its chain.
+        ``None`` trusts no stored state: whole clusters, no pruning.
+        """
         hc = self.hc
-        owner = self._owner
+        index = self._seed_index()
         pending: Dict[int, Set[int]] = {}
-        for cid in seeds:
+        for cid in cids:
             pending.setdefault(hc.clusters[cid].layer, set()).add(cid)
+        dirty: Dict[int, Set[int]] = {}
+        for layer, e in seeds or ():
+            dirty.setdefault(layer, set()).add(e)
 
         resolved: Set[int] = set()
         for layer in range(1, hc.num_layers + 1):
-            cids = pending.pop(layer, None)
-            if not cids:
+            layer_cids = pending.pop(layer, None)
+            if not layer_cids:
                 continue
-            order = sorted(cids)
+            order = sorted(layer_cids)
             if self._fault_plan is not None:
                 # Chaos hook: a matching plan entry raises InjectedFault here,
                 # after payloads were written but before this layer's chains
                 # re-solve — exactly the window the pending-dirty heal covers.
                 self._fault_plan.check_site("update-layer")
-            old = None if skip_pruning else {cid: self.summaries[cid] for cid in order}
+            old = None
+            narrowed = None
+            if seeds is not None:
+                old = {cid: self.summaries[cid] for cid in order}
+                narrowed = {layer: np.fromiter(dirty.pop(layer, ()), dtype=np.int64)}
             # Rounds/words are charged on the simulator under "dp-update";
             # _resolve_batch reads the per-label diff back into the report.
             self.engine.summarize_clusters(
-                self.solver, self.summaries, {layer: order}, label=DP_UPDATE_LABEL
+                self.solver, self.summaries, {layer: order}, label=DP_UPDATE_LABEL, dirty=narrowed
             )
             report.layers_resolved += 1
             resolved.update(order)
@@ -583,8 +608,9 @@ class IncrementalSolver:
                 if old is not None and summaries_equal(old[cid], self.summaries[cid]):
                     continue  # chain pruned: the parent's inputs are unchanged
                 report.summaries_changed += 1
-                parent = owner[cluster_element(cid)]
-                pending.setdefault(hc.clusters[parent].layer, set()).add(parent)
+                up, e = index.absorber(cid)
+                pending.setdefault(up, set()).add(int(index.parent_cluster[cid]))
+                dirty.setdefault(up, set()).add(e)
         report.clusters_resolved = len(resolved)
         return resolved
 
@@ -750,8 +776,8 @@ class IncrementalSolverGroup:
     The multi-problem serving mode (``solve_many``-style): each registered
     problem gets its own :class:`IncrementalSolver` — its own summaries,
     labels and kernel caches — but a batch of point updates is validated
-    once, written to the shared tree once, and its dirty *seed* set (owner
-    clusters, payload-plan invalidation, child-scope expansion) is computed
+    once, written to the shared tree once, and its dirty *seed* set (seed
+    elements, payload-plan invalidation, child-scope expansion) is computed
     once for the whole group instead of once per problem.  Each member then
     re-solves only its own chains from those seeds; the summary-equality
     pruning stays per-problem, so a member whose rules ignore the touched
@@ -891,10 +917,11 @@ def _set_payload(store: Dict[Any, Any], key: Any, data: Any) -> None:
 
 
 def _write_payload(
-    prepared: PreparedTree, up: PointUpdate, want_children: bool
-) -> Tuple[Set[int], Set[int]]:
+    prepared: PreparedTree, index: SeedIndex, up: PointUpdate, want_children: bool
+) -> Tuple[Set[ElementAt], Set[ElementAt]]:
     """Write one (validated) update's payload; return ``(seeds, child_seeds)``.
 
+    The seeds are the elements whose tables read the payload.
     ``child_seeds`` is the extra dirty set for problems declaring
     ``update_scope = "node+children"`` (XML validation looks up the
     parent's tag while evaluating a child); it is only computed when
@@ -904,16 +931,15 @@ def _write_payload(
     hc = prepared.clustering
     reduced = prepared.tree
     original = prepared.original_tree
-    child_seeds: Set[int] = set()
+    child_seeds: Set[ElementAt] = set()
     if up.kind == "node":
         v = up.target
         _set_payload(original.node_data, v, up.data)
         _set_payload(reduced.node_data, v, up.data)
-        owner = hc.node_owner(v)
         hc.invalidate_payload_plans(nodes=[v])
         # Auxiliary nodes are transparent: a real child below an auxiliary
         # chain still reads the original parent's payload.  The children's
-        # own cached inputs are unchanged; only their clusters re-solve.
+        # own cached inputs are unchanged; only their elements re-solve.
         if want_children:
             aux = prepared.reduction.aux_nodes
             stack = list(reduced.children(v))
@@ -922,8 +948,8 @@ def _write_payload(
                 if c in aux:
                     stack.extend(reduced.children(c))
                 else:
-                    child_seeds.add(hc.node_owner(c))
-        return {owner}, child_seeds
+                    child_seeds.add(index.node(c))
+        return {index.node(v)}, child_seeds
     child, parent = up.target
     # Degree reduction may have rerouted the edge through an auxiliary
     # parent; the payload lives on the reduced edge whose child endpoint is
@@ -931,12 +957,11 @@ def _write_payload(
     red_edge = (child, reduced.parent[child])
     _set_payload(original.edge_data, (child, parent), up.data)
     _set_payload(reduced.edge_data, red_edge, up.data)
-    owner = hc.edge_internal_owner()[red_edge]
     hc.invalidate_payload_plans(edges=[red_edge])
-    # Nested indegree-one clusters read the edge as their incoming edge (the
-    # innermost applies its transition constraint); they are dirty too.
-    # They read the same cached edge input.
-    return {owner, *hc.in_edge_owners().get(red_edge, ())}, child_seeds
+    # Every element absorbing a child through the edge: at its internal
+    # slot, and at the hole slot of each nested indegree-one cluster it
+    # enters (the innermost applies its transition constraint).
+    return set(index.edge(child)), child_seeds
 
 
 def _write_batch(
@@ -971,15 +996,16 @@ def _write_batch(
                 dense = getattr(m.solver, "_dense", None)
                 if dense is not None:
                     dense.tensors.clear_value_caches()
+        index = members[0]._seed_index()
         want_children = any(m._wants_child_seeds() for m in members)
-        base_seeds: Set[int] = set()
-        child_seeds: Set[int] = set()
+        base_seeds: Set[ElementAt] = set()
+        child_seeds: Set[ElementAt] = set()
         for up in updates:
-            base, children = _write_payload(prepared, up, want_children)
+            base, children = _write_payload(prepared, index, up, want_children)
             base_seeds |= base
             child_seeds |= children
 
-        def seeds_of(m: IncrementalSolver) -> Set[int]:
+        def seeds_of(m: IncrementalSolver) -> Set[ElementAt]:
             return base_seeds | child_seeds if m._wants_child_seeds() else set(base_seeds)
 
         for m in members:
@@ -993,7 +1019,7 @@ def _write_batch(
             # the members the failure skipped never saw these seeds, so mark
             # them pending too — the next batch heals everyone.
             for m in members[len(reports):]:
-                m._pending_dirty |= seeds_of(m)
+                m._pending_dirty |= index.clusters(seeds_of(m))
             raise
         return reports
     finally:

@@ -6,6 +6,7 @@ import pickle
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import as_cluster_dp, prepare, solve_many, solve_on
@@ -186,29 +187,28 @@ def test_serving_batches_reuse_the_plan():
 
 
 def test_shipped_clustering_leaves_out_the_update_indices():
-    """The update path's ownership indices stay on the driver: building
-    them does not change what the pool pickles, and an unpickled copy
-    rebuilds them to the same answers."""
+    """The update path's indices stay on the driver: building the
+    clustering's boundary dependents and the plan's seed index does not
+    change what the pool pickles, and an unpickled copy rebuilds them to
+    the same answers."""
     tree = _weighted(n=400, seed=6)
     prepared = prepare(tree)
     solve_on(prepared, MaxWeightIndependentSet())
     hc = prepared.clustering
     before = pickle.dumps(hc)
-    owner = hc.parent_cluster_of_element()
-    edge_owner = hc.edge_internal_owner()
-    in_owners = hc.in_edge_owners()
     deps = hc.boundary_dependents()
+    seeds = hc._dp_plan.seed_index()
     after = pickle.dumps(hc)
-    assert len(after) == len(before)
+    assert after == before
     shipped = pickle.loads(after)
-    assert shipped.parent_cluster_of_element() == owner
-    assert shipped.edge_internal_owner() == edge_owner
-    assert shipped.in_edge_owners() == in_owners
+    assert shipped._dp_plan._seed_index is None
     assert shipped.boundary_dependents() == deps
-    nodes = hc.tree.nodes()
-    assert [shipped.node_owner(v) for v in nodes] == [hc.node_owner(v) for v in nodes]
-    cids = sorted(hc.clusters)
-    assert [shipped.parent_chain(c) for c in cids] == [hc.parent_chain(c) for c in cids]
+    rebuilt = shipped._dp_plan.seed_index()
+    for name in ("node_at", "absorbed_at", "parent_cluster", "edge_ptr", "edge_at"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(seeds, name)), name
+    assert len(rebuilt.parent) == len(seeds.parent)
+    for got, want in zip(rebuilt.parent[1:], seeds.parent[1:]):
+        assert np.array_equal(got, want)
 
 
 def test_pool_workers_reuse_the_shipped_plan():
