@@ -18,7 +18,7 @@ constant factor (each original edge passes through at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.trees.tree import RootedTree
 
@@ -70,45 +70,6 @@ class DegreeReductionResult:
     def is_identity(self) -> bool:
         """True when no auxiliary nodes were needed."""
         return not self.aux_nodes
-
-    def project_labels(
-        self, labels: Dict[Tuple[Hashable, Hashable], Any]
-    ) -> Dict[Tuple[Hashable, Hashable], Any]:
-        """Restrict edge labels of the reduced tree to the original edges.
-
-        An original edge ``(c, p)`` of the input tree may have been rerouted
-        through auxiliary nodes as ``(c, aux_i)``; its label is the label of
-        the reduced edge whose child endpoint is ``c`` (the label of an edge
-        is the output of its child endpoint, so this is exactly the paper's
-        projection).
-        """
-        out: Dict[Tuple[Hashable, Hashable], Any] = {}
-        for (child, parent), lab in labels.items():
-            if child in self.aux_nodes:
-                continue
-            orig_parent = self.original_parent.get(child, parent)
-            out[(child, orig_parent)] = lab
-        return out
-
-    def project(
-        self,
-        edge_labels: Dict[Tuple[Hashable, Hashable], Any],
-        node_labels: Dict[Hashable, Any],
-        root_label: Any,
-    ) -> Tuple[Dict[Tuple[Hashable, Hashable], Any], Dict[Hashable, Any]]:
-        """Edge and node labels of a solve on the reduced tree, on the original tree.
-
-        Edge labels go through :meth:`project_labels`; a node's label is the
-        label of its (original) outgoing edge, and the root's is
-        ``root_label``.  An identity reduction, or a solve that produced no
-        labels, returns ``(edge_labels, node_labels)`` untouched.
-        """
-        if self.is_identity or not edge_labels:
-            return edge_labels, node_labels
-        projected = self.project_labels(edge_labels)
-        nodes = {c: lab for (c, _p), lab in projected.items()}
-        nodes[self.tree.root] = root_label
-        return projected, nodes
 
 
 def reduce_degrees(

@@ -221,13 +221,6 @@ class HierarchicalClustering:
     final_cluster_id: int
     stats: Dict[str, Any] = field(default_factory=dict)
 
-    # Lazily built dependency index of the incremental update path's
-    # top-down relabel (repro.dynamic).  It depends only on the clustering's
-    # structure, which is immutable for its lifetime, so it is computed once
-    # and shared.
-    _boundary_dependents: Optional[Dict[Tuple[Hashable, Hashable], Tuple[int, ...]]] = (
-        field(default=None, init=False, repr=False, compare=False)
-    )
     # The compiled DP layer plans (repro.dp.kernels.plan.ClusteringPlan):
     # built on the first solve, shared by every problem and pass.
     _dp_plan: Optional[Any] = field(default=None, init=False, repr=False, compare=False)
@@ -235,19 +228,6 @@ class HierarchicalClustering:
     #: the clustering held elsewhere (the exec pool's workers) are keyed by
     #: it, so a payload write makes the next pooled solve ship fresh payloads.
     payload_epoch: int = field(default=0, init=False, repr=False, compare=False)
-
-    # The dependency index serves only the driver's update path and rebuilds
-    # on first use, so pickled copies (the exec pool's workers) go without
-    # it.  Until built it is a class-level ``None`` default, absent from
-    # ``__dict__``, so the pickle of a clustering that never built it is the
-    # plain ``__dict__`` one.
-    _DRIVER_INDICES = ("_boundary_dependents",)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        for name in self._DRIVER_INDICES:
-            state.pop(name, None)
-        return state
 
     def cluster(self, cid: int) -> Cluster:
         return self.clusters[cid]
@@ -302,29 +282,6 @@ class HierarchicalClustering:
                     total += counts[e[1]]
             counts[cid] = total
         return counts
-
-    # ------------------------------------------------------------------ #
-    # Dependency queries (the incremental update path)
-    # ------------------------------------------------------------------ #
-
-    def boundary_dependents(self) -> Dict[Tuple[Hashable, Hashable], Tuple[int, ...]]:
-        """Clusters whose top-down boundary labels read the given edge (cached).
-
-        Maps every edge to the clusters having it as ``out_edge`` or
-        ``in_edge``: when the edge's label changes during a partial top-down
-        pass, exactly these (strictly lower-layer) clusters must re-derive
-        their internal labels.  The final cluster's virtual out-edge is not
-        indexed — the root label is handled explicitly by the update path.
-        """
-        if self._boundary_dependents is None:
-            deps: Dict[Tuple[Hashable, Hashable], List[int]] = {}
-            for cid, c in self.clusters.items():
-                if cid != self.final_cluster_id:
-                    deps.setdefault(c.out_edge, []).append(cid)
-                if c.in_edge is not None:
-                    deps.setdefault(c.in_edge, []).append(cid)
-            self._boundary_dependents = {e: tuple(cids) for e, cids in deps.items()}
-        return self._boundary_dependents
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.clustering.builder import build_hierarchical_clustering
 from repro.clustering.degree_reduction import DegreeReductionResult, reduce_degrees
@@ -213,13 +213,19 @@ class PreparedTree:
 
 @dataclass
 class PipelineResult:
-    """Everything :func:`solve` returns for one problem."""
+    """Everything :func:`solve` returns for one problem.
+
+    ``edge_labels`` and ``node_labels`` are on the *original* tree (the
+    degree reduction's auxiliary nodes projected away): read-only mappings
+    over the solve's label array (:mod:`repro.dp.kernels.labels`).  Copy
+    one with ``dict(...)`` to mutate it.
+    """
 
     value: Any
     output: Any
     root_label: Any
-    edge_labels: Dict[Tuple[Hashable, Hashable], Any]
-    node_labels: Dict[Hashable, Any]
+    edge_labels: Mapping[Tuple[Hashable, Hashable], Any]
+    node_labels: Mapping[Hashable, Any]
     solve_result: SolveResult
     prepared: PreparedTree
     rounds: Dict[str, int] = field(default_factory=dict)
@@ -381,9 +387,9 @@ def solve_on(
     if obs.enabled:
         obs.dump(tag="solve")
 
-    edge_labels, node_labels = prepared.reduction.project(
-        res.edge_labels, res.node_labels, res.root_label
-    )
+    # The same label array, keyed by the original tree's nodes and edges.
+    original = engine.plan().label_keys()[1]
+    edge_labels, node_labels = res.edge_labels.over(original), res.node_labels.over(original)
     rounds = {
         "normalization": prepared.normalization_stats.total_rounds,
         "clustering": prepared.clustering_stats.total_rounds,

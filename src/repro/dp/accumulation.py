@@ -114,9 +114,7 @@ class UpwardAccumulationSolver(ClusterDP):
         return labels
 
     def extract(self, tree, edge_labels, root_label, value):
-        node_values: Dict[Hashable, Any] = {child: lab for (child, _p), lab in edge_labels.items()}
-        node_values[tree.root] = root_label
-        return self.problem.extract_solution(tree, node_values, value)
+        return self.problem.extract_solution(tree, edge_labels.node_dict(), value)
 
     # -- local evaluation ---------------------------------------------------- #
 

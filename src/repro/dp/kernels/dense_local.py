@@ -34,9 +34,18 @@ batch's dirty clusters) — reading the structure from the compiled
   each group is one stacked kernel call that gathers its child rows by
   index.  Affine rule decompositions let nodes whose rules differ only in a
   weight vector share a group (``base + Σ_k w_k * mask_k``).
-* **Array top-down.**  Backpointers are written during the bottom-up pass
-  into per-layer arrays; the labeling pass walks the batch one height level
-  at a time, from the top elements down, with array gathers.
+* **Array top-down, changed paths only.**  Backpointers are written during
+  the bottom-up pass into per-layer arrays, and the labeling pass replays
+  them from each row's top element down.  The store keeps the state every
+  element's last replay wrote, so a pass replays only its *active set*: the
+  elements the bottom-up re-solved since (``fresh``), a top element whose
+  out-edge state moved, the hole-path elements of a row whose in-edge state
+  moved, every child whose replayed state moved, and every element of a row
+  no replay has completed on (never replayed, or the last one raised).  A
+  small active set is walked one element at a time in height order; a large
+  one (a full solve's) replays level by level as array programs, skipping
+  inactive elements.  Labels are read off the stored states for whole rows,
+  as state ids, and words are priced per row either way.
 
 Summaries are ``{"kind": "vec"|"mat", "dense": ndarray}``; ``vec`` is a
 ``(S,)`` vector over top-node states, ``mat`` a ``(S, S)`` matrix over (top
@@ -48,10 +57,12 @@ to equal dicts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+import heapq
+from typing import Any, Callable, Dict, Hashable, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.dp.kernels.labels import STATE_ID, LabelFormat
 from repro.dp.kernels.plan import (
     HOLE_CHILD,
     LEAF,
@@ -71,11 +82,17 @@ __all__ = ["DenseClusterKernel"]
 #: Backpointer dtype: flat (acc, child-state) ids and state ids are small.
 _BP = np.int32
 
+#: Active sets smaller than this are replayed one element at a time; larger
+#: ones level by level.  A level step costs one NumPy call per child slot
+#: whatever its size, so a walk wins below the crossover measured on the
+#: serving input (a few hundred elements per layer batch).
+_WALK_MAX = 256
+
 Sizer = Callable[[Any], int]
 
 
 class _LayerStore:
-    """One problem's bottom-up state of one layer: tables and backpointers.
+    """One problem's state of one layer: tables, backpointers, replayed states.
 
     ``vals[rbase[e] + r]`` is element ``e``'s table row ``r`` (``r`` = hole
     state on a hole path, else 0); ``bp`` holds, per row, the finalize
@@ -83,9 +100,25 @@ class _LayerStore:
     elements); ``steps[sbase[k] + r]`` the flat (acc, child state) choice of
     child slot ``k``.  Sized by the layer plan once, so the store cannot
     grow; batches overwrite their clusters' rows and mark them ``valid``.
+
+    The top-down side: ``state[e]`` is the state element ``e``'s last
+    replay left it in, ``fresh[e]`` marks an element the bottom-up
+    re-solved since; per cluster row, ``in_state`` is the in-edge state the
+    last replay used and ``labeled`` says that replay completed.
     """
 
-    __slots__ = ("rbase", "vals", "bp", "sbase", "steps", "valid")
+    __slots__ = (
+        "rbase",
+        "vals",
+        "bp",
+        "sbase",
+        "steps",
+        "valid",
+        "state",
+        "fresh",
+        "in_state",
+        "labeled",
+    )
 
     def __init__(
         self, lp: LayerPlan, H: int, S: int, A: int, dtype: np.dtype, selective: bool
@@ -95,6 +128,10 @@ class _LayerStore:
         R = int(nrows.sum())
         self.vals = np.empty((R, S), dtype=dtype)
         self.valid = np.zeros(lp.num_clusters, dtype=bool)
+        self.state = np.zeros(lp.num_elements, dtype=STATE_ID)
+        self.fresh = np.zeros(lp.num_elements, dtype=bool)
+        self.in_state = np.zeros(lp.num_clusters, dtype=STATE_ID)
+        self.labeled = np.zeros(lp.num_clusters, dtype=bool)
         srows = nrows[lp.slot_parent]
         self.sbase = np.cumsum(srows) - srows
         if selective:
@@ -106,7 +143,15 @@ class _LayerStore:
 
     @property
     def nbytes(self) -> int:
-        return int(self.vals.nbytes + self.bp.nbytes + self.steps.nbytes)
+        return int(
+            self.vals.nbytes
+            + self.bp.nbytes
+            + self.steps.nbytes
+            + self.state.nbytes
+            + self.fresh.nbytes
+            + self.in_state.nbytes
+            + self.labeled.nbytes
+        )
 
 
 class DenseClusterKernel:
@@ -136,9 +181,8 @@ class DenseClusterKernel:
         np.fill_diagonal(eye, self.kernel.one)
         self._hole_batch = eye
         self._hrange = np.arange(S, dtype=np.int64)
-        self._states = np.empty(S, dtype=object)
-        for i, state in enumerate(self.sspace.states):
-            self._states[i] = state
+        #: Labels are state ids into the problem's state tuple.
+        self.label_format = LabelFormat(self.sspace.states)
         #: Per-layer bottom-up state (tables + backpointers) of the plan the
         #: last batch came from.  Persistent across solves on purpose: the
         #: incremental update path re-solves the changed element paths of a
@@ -157,21 +201,25 @@ class DenseClusterKernel:
         #: kernel programs (node and sub-cluster groups) it ran for them.
         self.bottom_up_elements: int = 0
         self.bottom_up_calls: int = 0
+        #: Elements the top-down pass replayed, and its replay calls: one
+        #: per element walked plus one per vectorized level step.
+        self.top_down_elements: int = 0
+        self.top_down_calls: int = 0
 
     # ------------------------------------------------------------------ #
     # Caches and observability
     # ------------------------------------------------------------------ #
 
     def trace_store_bytes(self) -> int:
-        """Bytes held by the per-layer tables and backpointers."""
+        """Bytes held by the per-layer tables, backpointers and replayed states."""
         return sum(st.nbytes for st in self._stores.values())
 
     def cache_stats(self) -> Dict[str, int]:
         """Flat cache-behaviour counters for the observability gauges.
 
-        Covers the backpointer store (size, hits/misses), the bottom-up work
-        (element tables computed, stacked kernel calls), the payload-value
-        keyed rule caches on :attr:`tensors`, and the tensor
+        Covers the backpointer store (size, hits/misses), the work of both
+        passes (elements computed or replayed, kernel calls), the
+        payload-value keyed rule caches on :attr:`tensors`, and the tensor
         enumeration/recompose counters.
         """
         t = self.tensors
@@ -181,6 +229,8 @@ class DenseClusterKernel:
             "trace_misses": self.trace_misses,
             "bottom_up_elements": self.bottom_up_elements,
             "bottom_up_calls": self.bottom_up_calls,
+            "top_down_elements": self.top_down_elements,
+            "top_down_calls": self.top_down_calls,
             "value_entries": sum(t.value_cache_sizes().values()),
             "value_hits": t.value_cache_hits(),
             "value_misses": t.value_cache_misses(),
@@ -261,13 +311,14 @@ class DenseClusterKernel:
         return None, self.kernel.reduce(totals, axis=0).item()
 
     def label_layer(
-        self, batch: LayerBatch, out_labels: Sequence[Any], in_labels: Sequence[Any]
-    ) -> Tuple[List[Any], int]:
-        """Labels of the batch's internal edges (``batch.edges`` order) and words.
+        self, batch: LayerBatch, out_ids: np.ndarray, in_ids: np.ndarray
+    ) -> Tuple[np.ndarray, int]:
+        """State ids of the batch's internal edges (``batch.edge_index`` order) and words.
 
-        Walks the batch's elements one height level at a time from the top
-        elements down, replaying the stored backpointers with array gathers.
-        Rows whose backpointers this kernel does not hold (a pool worker
+        ``out_ids`` / ``in_ids`` are the rows' boundary state ids (any id
+        where a row has no incoming edge).  Replays the active set (module
+        docstring) and reads whole rows' labels off the stored states.  Rows
+        whose backpointers this kernel does not hold (a pool worker
         respawned after the bottom-up pass) are re-solved first.
         """
         st = self._store(batch)
@@ -282,17 +333,88 @@ class DenseClusterKernel:
         self.trace_misses += n_stale
         self.trace_hits += len(rows) - n_stale
 
-        index = self.sspace.index
-        out_idx = np.fromiter((index[lab] for lab in out_labels), np.int64, len(rows))
-        in_idx = np.fromiter(
-            (0 if lab is None else index[lab] for lab in in_labels), np.int64, len(rows)
-        )
+        out_ids = np.asarray(out_ids, dtype=STATE_ID)
+        in_ids = np.asarray(in_ids, dtype=STATE_ID)
         el = batch.elements
         counts = lp.elem_ptr[rows + 1] - lp.elem_ptr[rows]
-        hrow = np.where(lp.depth[el] >= 0, np.repeat(in_idx, counts), 0)
-        state = np.empty(lp.num_elements, dtype=np.int64)
-        state[lp.top[rows]] = out_idx
+        row_at = np.repeat(np.arange(len(rows)), counts)
+        unlabeled = ~st.labeled[rows]
+        hole_moved = in_ids != st.in_state[rows]
+        act = st.fresh[el] | unlabeled[row_at] | (hole_moved[row_at] & (lp.depth[el] >= 0))
+        tops = lp.top[rows]
+        moved = out_ids != st.state[tops]
+        act[(np.cumsum(counts) - counts + tops - lp.elem_ptr[rows])[moved]] = True
+        st.state[tops] = out_ids
+        st.in_state[rows] = in_ids
+        st.labeled[rows] = False
+        start = el[act]
+        if len(start) < _WALK_MAX:
+            self._replay_walk(batch, st, start)
+        else:
+            self._replay_levels(batch, st, start)
+        st.fresh[el] = False
+        st.labeled[rows] = True
 
+        ids = st.state[lp.ie_elem[lp.edge_slots_of(rows)]]
+        words = 0
+        if batch.sizer is not None:
+            words = int(self._word_costs(batch.sizer)[2][ids].sum())
+        return ids, words
+
+    def _replay_walk(self, batch: LayerBatch, st: _LayerStore, start: np.ndarray) -> None:
+        """Replay ``start`` and every child whose state moves, one element at a
+        time, parents first (a heap keyed by element-tree height)."""
+        lp = batch.layer
+        S = len(self.sspace)
+        zero = self.kernel.zero
+        kind, depth, child, child_ptr = lp.kind, lp.depth, lp.child, lp.child_ptr
+        rbase, sbase = st.rbase, st.sbase
+        vals, bp, steps, state = st.vals, st.bp, st.steps, st.state
+        hole = st.in_state[lp.element_rows(start)]
+        heap = list(zip((-lp.height[start]).tolist(), start.tolist(), hole.tolist()))
+        heapq.heapify(heap)
+        queued = set(start.tolist())
+        walked = 0
+        while heap:
+            _, e, h = heapq.heappop(heap)
+            k = kind.item(e)
+            if k == LEAF:
+                continue  # sub-cluster leaves have no internal children
+            walked += 1
+            s = state.item(e)
+            r_h = h if depth.item(e) >= 0 else 0
+            r = rbase.item(e) + r_h
+            if vals[r, s] == zero:
+                self._unreachable(batch, e, s)
+            lo, hi = child_ptr.item(e), child_ptr.item(e + 1)
+            moves: List[Tuple[int, int]] = []
+            if k == NODE:
+                acc = bp.item(r, s)
+                for slot in range(hi - 1, lo - 1, -1):
+                    acc, cs = divmod(steps.item(sbase.item(slot) + r_h, acc), S)
+                    moves.append((child.item(slot), cs))
+            else:
+                moves.append((child.item(lo), bp.item(r, s)))
+            for c, cs in moves:
+                if c == HOLE_CHILD or state.item(c) == cs:
+                    continue
+                state[c] = cs
+                if c not in queued:
+                    queued.add(c)
+                    heapq.heappush(heap, (-lp.height.item(c), c, h))
+        self.top_down_elements += walked
+        self.top_down_calls += walked
+
+    def _replay_levels(self, batch: LayerBatch, st: _LayerStore, start: np.ndarray) -> None:
+        """Replay ``start`` and every child whose state moves, one element-tree
+        height level at a time (from the top elements down) with array gathers."""
+        lp = batch.layer
+        live = np.zeros(lp.num_elements, dtype=bool)
+        live[start] = True
+        el = batch.elements
+        rows = batch.rows
+        in_state = np.repeat(st.in_state[rows], lp.elem_ptr[rows + 1] - lp.elem_ptr[rows])
+        hrow = np.where(lp.depth[el] >= 0, in_state, 0)
         height = lp.height[el]
         order = np.argsort(-height, kind="stable")
         cuts = np.flatnonzero(np.diff(height[order])) + 1
@@ -300,43 +422,37 @@ class DenseClusterKernel:
         for q in np.split(order, cuts):
             e = el[q]
             kind = lp.kind[e]
-            inner = kind != LEAF  # sub-cluster leaves have no internal children
-            e, r_h = e[inner], hrow[q][inner]
+            # Sub-cluster leaves have no internal children.
+            on = live[e] & (kind != LEAF)
+            e, r_h, kind = e[on], hrow[q][on], kind[on]
             if not len(e):
                 continue
-            s = state[e]
+            self.top_down_elements += len(e)
+            self.top_down_calls += 1
+            s = st.state[e]
             r = st.rbase[e] + r_h
             bad = st.vals[r, s] == zero
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
-                raise RuntimeError(
-                    f"inconsistent traceback: state {self._states[s[i]]!r} unreachable "
-                    f"at element {self._element(batch.plan, lp, int(e[i]))!r}"
-                )
-            is_node = kind[inner] == NODE
+                self._unreachable(batch, int(e[i]), int(s[i]))
+            is_node = kind == NODE
             if is_node.any():
-                self._replay_steps(lp, st, e[is_node], r_h[is_node], st.bp[r, s][is_node], state)
+                self._replay_steps(lp, st, live, e[is_node], r_h[is_node], st.bp[r, s][is_node])
             is_mat = ~is_node
             if is_mat.any():
                 ch = lp.child[lp.child_ptr[e[is_mat]]]
                 below = st.bp[r[is_mat], s[is_mat]]
                 real = ch != HOLE_CHILD
-                state[ch[real]] = below[real]
-
-        idx = state[lp.ie_elem[lp.edge_slots_of(rows)]]
-        words = 0
-        if batch.sizer is not None:
-            words = int(self._word_costs(batch.sizer)[2][idx].sum())
-        return self._states[idx].tolist(), words
+                _settle(st, live, ch[real], below[real])
 
     def _replay_steps(
         self,
         lp: LayerPlan,
         st: _LayerStore,
+        live: np.ndarray,
         nodes: np.ndarray,
         r_h: np.ndarray,
         acc: np.ndarray,
-        state: np.ndarray,
     ) -> None:
         """Child states of ``nodes`` from their step backpointers (last child first)."""
         S = len(self.sspace)
@@ -350,7 +466,13 @@ class DenseClusterKernel:
             acc[act] = flat // S
             ch = lp.child[slot]
             real = ch != HOLE_CHILD
-            state[ch[real]] = (flat % S)[real]
+            _settle(st, live, ch[real], (flat % S)[real])
+
+    def _unreachable(self, batch: LayerBatch, e: int, s: int) -> NoReturn:
+        raise RuntimeError(
+            f"inconsistent traceback: state {self.sspace.decode(s)!r} unreachable "
+            f"at element {self._element(batch.plan, batch.layer, e)!r}"
+        )
 
     @staticmethod
     def _element(plan: ClusteringPlan, lp: LayerPlan, e: int) -> Tuple[str, Hashable]:
@@ -370,6 +492,7 @@ class DenseClusterKernel:
         children outside it are read from ``st`` as the last pass left them.
         """
         self.bottom_up_elements += len(el)
+        st.fresh[el] = True
         lp = batch.layer
         kind = lp.kind[el]
         leaves = el[kind == LEAF]
@@ -642,6 +765,12 @@ class _NodeGroups:
                     st.steps[st.sbase[slot0 + j][:, None] + hr] = step
         dense.bottom_up_calls += 1
         return True
+
+
+def _settle(st: _LayerStore, live: np.ndarray, ch: np.ndarray, cs: np.ndarray) -> None:
+    """Store replayed child states ``cs``; children whose state moved go live."""
+    live[ch[st.state[ch] != cs]] = True
+    st.state[ch] = cs
 
 
 def _runs(*cols: np.ndarray) -> List[Tuple[Tuple[int, ...], np.ndarray]]:

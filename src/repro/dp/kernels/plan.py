@@ -24,10 +24,12 @@ Per layer, with ``C`` clusters, ``E`` elements and ``K`` child slots:
   explicit last slot (``child == HOLE_CHILD``) of the hole element, through
   the cluster's incoming edge;
 * the clusters' internal edges in ``Cluster.internal_edges`` order
-  (``ie_ptr``, ``ie_elem``, ``ie_edges``) — the order labels are reported in.
+  (``ie_ptr``, ``ie_elem``, ``ie_edge``) — the order labels are reported in.
 
 Node and edge indices share one index space: node ``i`` of the
 (degree-reduced) tree, and the tree edge whose child endpoint is node ``i``.
+A problem's labels live in one array over that index
+(:mod:`repro.dp.kernels.labels`).
 
 The :class:`ClusteringPlan` bundles a clustering's layer plans with the
 payload cache: the :class:`~repro.dp.problem.NodeInput` /
@@ -38,8 +40,9 @@ Those bake tree payloads, so a payload mutator must call
 change for the clustering's lifetime.  The plan is compiled on the first
 solve (never inside ``prepare()``), cached on the clustering, and shipped to
 exec workers with it — without the payload cache, which workers rebuild for
-the rows they touch, and without the :class:`SeedIndex` the incremental
-update path seeds its batches from, which only the driver builds.
+the rows they touch, and without the driver's indices: the
+:class:`SeedIndex` the incremental update path seeds and relabels its
+batches from, and the label views' :class:`~repro.dp.kernels.labels.LabelKeys`.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ import numpy as np
 
 from repro.clustering.degree_reduction import DegreeReductionResult
 from repro.clustering.model import ClusterKind, HierarchicalClustering
+from repro.dp.kernels.labels import LabelKeys
 from repro.dp.problem import ClusterContext, EdgeInfo, NodeInput
 
 __all__ = [
@@ -115,11 +119,6 @@ def _offsets(counts: Any) -> np.ndarray:
     return out
 
 
-def _object_array(items: List[Any]) -> np.ndarray:
-    """A 1-d object array holding ``items`` as scalars (tuples stay whole)."""
-    return np.fromiter(items, dtype=object, count=len(items))
-
-
 class LayerPlan:
     """Struct-of-arrays compile of one cluster layer (see module docstring)."""
 
@@ -169,12 +168,12 @@ class LayerPlan:
         # Internal edges, in ``Cluster.internal_edges`` order.
         ies = [t for c in cs for t in c.internal_edges]
         K = len(ies)
-        edges = list(map(_third, ies))
         self.ie_ptr = _offsets([len(c.internal_edges) for c in cs])
         self.ie_elem = np.fromiter(map(eidx.__getitem__, map(_first, ies)), dtype=i64, count=K)
         ie_parent = np.fromiter(map(eidx.__getitem__, map(_second, ies)), dtype=i64, count=K)
-        ie_edge = np.fromiter(map(index.__getitem__, map(_first, edges)), dtype=i64, count=K)
-        self.ie_edges = _object_array(edges)
+        self.ie_edge = np.fromiter(
+            map(index.__getitem__, map(_first, map(_third, ies))), dtype=i64, count=K
+        )
 
         kids = np.bincount(ie_parent, minlength=E)
         self._check_elements(elems, kids)
@@ -223,7 +222,7 @@ class LayerPlan:
         rows_with_hole = np.flatnonzero(self.hole >= 0)
         slot_parent = np.concatenate((ie_parent, holes))
         slot_child = np.concatenate((self.ie_elem, np.full(len(holes), HOLE_CHILD, dtype=i64)))
-        slot_edge = np.concatenate((ie_edge, self.in_edge[rows_with_hole]))
+        slot_edge = np.concatenate((self.ie_edge, self.in_edge[rows_with_hole]))
         slot_rank = np.concatenate((rank, np.full(len(holes), K, dtype=i64)))
         by_slot = np.lexsort((slot_rank, slot_parent))
         self.slot_parent = slot_parent[by_slot]
@@ -295,9 +294,10 @@ class ClusteringPlan:
     prepared tree, one clustering) and ships with the plan.
     """
 
-    # Built by seed_index() on the driver; until then the class default, so
-    # the pickle of a plan that never built it is the plain one.
+    # Driver-only indices, built on first use; until then the class
+    # defaults, so the pickle of a plan that never built them is the plain one.
     _seed_index: Optional["SeedIndex"] = None
+    _label_keys: Optional[Tuple[LabelKeys, LabelKeys]] = None
 
     def __init__(self, hc: HierarchicalClustering, reduction: DegreeReductionResult) -> None:
         global _compiles
@@ -319,11 +319,12 @@ class ClusteringPlan:
 
     # The payload cache is rebuilt where it is used (it bakes payloads and
     # would dominate the pickle); the structure ships as a few arrays.  The
-    # seed index serves only the driver's update path.
+    # seed index and the label keys serve only the driver.
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         del state["_node_inputs"], state["_edge_infos"]
         state.pop("_seed_index", None)
+        state.pop("_label_keys", None)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -385,6 +386,31 @@ class ClusteringPlan:
             self._seed_index = SeedIndex(self)
         return self._seed_index
 
+    def label_keys(self) -> Tuple[LabelKeys, LabelKeys]:
+        """Label keys of the reduced tree and of the original tree (built once).
+
+        The reduced tree's keys are the node index itself.  The original
+        tree's leave out the degree reduction's auxiliary nodes and key each
+        edge by its original parent; for an identity reduction they are the
+        reduced tree's.
+        """
+        if self._label_keys is None:
+            tree = self.hc.tree
+            n = len(self.node_ids)
+            reduced = LabelKeys(
+                self.node_ids, np.arange(n, dtype=np.int64), self.node_index, tree.parent, tree.root
+            )
+            original = reduced
+            aux = self.reduction.aux_nodes
+            if aux:
+                nodes = [v for v in self.node_ids if v not in aux]
+                index = self.node_index
+                pos = np.fromiter(map(index.__getitem__, nodes), dtype=np.int64, count=len(nodes))
+                at = dict(zip(nodes, pos.tolist()))
+                original = LabelKeys(nodes, pos, at, self.reduction.original_parent, tree.root)
+            self._label_keys = (reduced, original)
+        return self._label_keys
+
     # -- batches ------------------------------------------------------------ #
 
     def batch(
@@ -405,7 +431,7 @@ class ClusteringPlan:
 
 
 class SeedIndex:
-    """Where a payload write or a changed summary enters the bottom-up.
+    """Where a payload write or a changed summary enters a pass.
 
     Elements are :data:`ElementAt` pairs ``(layer, e)``.  Derived from the
     plan's structural arrays on the driver, on first use, and never
@@ -421,7 +447,13 @@ class SeedIndex:
     * ``parent[layer][e]``: the parent of element ``e`` inside its cluster
       (``-1`` at the top), from the ``child`` / ``slot_parent`` CSR;
     * ``parent_cluster[cid]``: the cluster absorbing ``cid`` (``-1`` for
-      the final cluster).
+      the final cluster);
+    * ``bound_at[bound_ptr[i]:bound_ptr[i + 1]]``: the ``(layer, cid)`` of
+      every cluster having edge ``i`` as its out-edge or in-edge — the
+      clusters whose top-down pass reads the edge's label.  The final
+      cluster's virtual out-edge is not indexed: the update path relabels
+      the final cluster whenever it re-solves it, the only time the root
+      label can change.
     """
 
     def __init__(self, plan: ClusteringPlan) -> None:
@@ -435,6 +467,9 @@ class SeedIndex:
         self.parent: List[Optional[np.ndarray]] = [None]
         slot_edge: List[np.ndarray] = []
         slot_at: List[np.ndarray] = []
+        bound_edge: List[np.ndarray] = []
+        bound_at: List[np.ndarray] = []
+        final = plan.hc.final_cluster_id
         for lp in plan.layers[1:]:
             assert lp is not None
             at = np.empty((lp.num_elements, 2), dtype=i64)
@@ -451,9 +486,13 @@ class SeedIndex:
             self.parent.append(parent)
             slot_edge.append(lp.child_edge)
             slot_at.append(at[lp.slot_parent])
-        edges = np.concatenate(slot_edge)
-        self.edge_ptr = _offsets(np.bincount(edges, minlength=n))
-        self.edge_at = np.concatenate(slot_at)[np.argsort(edges, kind="stable")]
+            outs = np.flatnonzero(lp.cids != final)
+            ins = np.flatnonzero(lp.in_edge >= 0)
+            rows = np.concatenate((outs, ins))
+            bound_edge.append(np.concatenate((lp.out_edge[outs], lp.in_edge[ins])))
+            bound_at.append(np.stack((np.full(len(rows), lp.layer, dtype=i64), lp.cids[rows]), 1))
+        self.edge_ptr, self.edge_at = _csr(slot_edge, slot_at, n)
+        self.bound_ptr, self.bound_at = _csr(bound_edge, bound_at, n)
 
     def node(self, v: Hashable) -> ElementAt:
         """The element whose tables read node ``v``'s payload."""
@@ -491,6 +530,17 @@ class SeedIndex:
     def closure_size(self, cids: Iterable[int]) -> int:
         """Number of clusters in ``cids`` or on their absorption chains."""
         return int(np.count_nonzero(_upward(self.parent_cluster, np.fromiter(cids, np.int64))))
+
+    def dependents(self, edges: np.ndarray) -> np.ndarray:
+        """``(layer, cid)`` rows of the clusters whose boundary is one of ``edges``."""
+        return self.bound_at[_ranges(self.bound_ptr[edges], self.bound_ptr[edges + 1])]
+
+
+def _csr(keys: List[np.ndarray], rows: List[np.ndarray], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR offsets over ``0..n-1`` and the ``rows`` grouped by their ``keys``."""
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    return _offsets(np.bincount(key, minlength=n)), np.concatenate(rows)[order]
 
 
 def _upward(parent: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -550,10 +600,11 @@ class LayerBatch:
         return self._elements
 
     @property
-    def edges(self) -> List[Edge]:
-        """Internal edges of the rows, in ``Cluster.internal_edges`` order."""
+    def edge_index(self) -> np.ndarray:
+        """Edge indices of the rows' internal edges, in ``Cluster.internal_edges``
+        order (the order labels are reported in)."""
         lp = self.layer
-        return lp.ie_edges[lp.edge_slots_of(self.rows)].tolist()
+        return lp.ie_edge[lp.edge_slots_of(self.rows)]
 
     def select(self, rows: np.ndarray) -> "LayerBatch":
         """The sub-batch of ``rows`` (sorted rows of the same layer, whole)."""
@@ -561,7 +612,7 @@ class LayerBatch:
 
     def edge_positions(self, sub: "LayerBatch") -> np.ndarray:
         """Where the edges of ``sub`` (a :meth:`select` of this batch) sit in
-        :attr:`edges`."""
+        :attr:`edge_index`."""
         lp = self.layer
         slots = lp.edge_slots_of(self.rows)
         at = np.empty(int(lp.ie_ptr[-1]), dtype=np.int64)

@@ -47,6 +47,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.clustering.model import Element
 from repro.dp.kernels.dense_local import DenseClusterKernel
+from repro.dp.kernels.labels import OBJECT_LABELS, LabelFormat
 from repro.dp.kernels.plan import LayerBatch
 from repro.dp.kernels.semiring_kernels import kernel_for
 from repro.dp.problem import ClusterContext, ClusterDP, FiniteStateDP
@@ -131,9 +132,14 @@ class FiniteStateClusterSolver(ClusterDP):
             return self._dense.summarize_layer(batch)
         return super().summarize_layer(batch)
 
+    def label_format(self) -> LabelFormat:
+        if self._dense is not None:
+            return self._dense.label_format
+        return OBJECT_LABELS
+
     def label_layer(
         self, batch: LayerBatch, out_labels: Sequence[Any], in_labels: Sequence[Any]
-    ) -> Tuple[List[Any], int]:
+    ) -> Tuple[Sequence[Any], int]:
         if not self.produces_labels:
             raise NotImplementedError(
                 f"{self.problem.name} uses a non-selective semiring; "
@@ -238,11 +244,7 @@ class FiniteStateClusterSolver(ClusterDP):
         return {e: s for e, s in state_of.items() if e != ctx.top_element}
 
     def extract(self, tree, edge_labels, root_label, value):
-        node_states: Dict[Hashable, Hashable] = {}
-        for (child, _parent), state in edge_labels.items():
-            node_states[child] = state
-        node_states[tree.root] = root_label
-        return self.problem.extract_solution(tree, node_states, value)
+        return self.problem.extract_solution(tree, edge_labels.node_dict(), value)
 
     # ------------------------------------------------------------------ #
     # Local (per-cluster) sequential DP — the python backend

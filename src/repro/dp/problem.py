@@ -44,6 +44,7 @@ from repro.dp.semiring import Semiring
 from repro.trees.tree import RootedTree
 
 if TYPE_CHECKING:
+    from repro.dp.kernels.labels import EdgeLabels, LabelFormat
     from repro.dp.kernels.plan import LayerBatch
 
 __all__ = ["NodeInput", "EdgeInfo", "ClusterContext", "ClusterDP", "FiniteStateDP"]
@@ -274,14 +275,26 @@ class ClusterDP(abc.ABC):
         summaries = [self.summarize(ctx) for ctx in batch.contexts()]
         return summaries, batch.words(summaries)
 
+    def label_format(self) -> "LabelFormat":
+        """How this solver's labels are stored (:mod:`repro.dp.kernels.labels`).
+
+        The default stores label objects; a solver declaring state ids
+        receives and returns ids in :meth:`label_layer`.
+        """
+        # Imported here: the kernels package imports this module.
+        from repro.dp.kernels.labels import OBJECT_LABELS
+
+        return OBJECT_LABELS
+
     def label_layer(
         self, batch: "LayerBatch", out_labels: Sequence[Any], in_labels: Sequence[Any]
-    ) -> Tuple[List[Any], int]:
+    ) -> Tuple[Sequence[Any], int]:
         """Labels of a layer batch's internal edges plus their routed words.
 
         ``out_labels`` / ``in_labels`` are the boundary labels of the
-        batch's clusters (``None`` for an absent incoming edge).  The labels
-        are aligned with ``batch.edges``.  The default runs
+        batch's clusters, in :meth:`label_format`'s stored form (its
+        ``absent`` value for a missing incoming edge).  The labels are
+        aligned with ``batch.edge_index``.  The default runs
         :meth:`assign_internal_labels` per cluster.
         """
         labels: List[Any] = []
@@ -313,11 +326,16 @@ class ClusterDP(abc.ABC):
     def extract(
         self,
         tree: RootedTree,
-        edge_labels: Dict[Tuple[Hashable, Hashable], Any],
+        edge_labels: "EdgeLabels",
         root_label: Any,
         value: Any,
     ) -> Any:
-        """Optional problem-specific post-processing of the labelling."""
+        """Optional problem-specific post-processing of the labelling.
+
+        ``edge_labels`` is a read-only view of the solve's label array;
+        ``edge_labels.node_dict()`` copies every node's label (the root's
+        is ``root_label``) into a dict in one pass.
+        """
         return {"edge_labels": edge_labels, "root_label": root_label, "value": value}
 
 

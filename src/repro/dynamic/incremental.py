@@ -36,8 +36,18 @@ accepts batched point updates without re-clustering:
   (out-edge / in-edge) label changed re-derive internal labels; label
   changes propagate strictly downward through the hierarchy, so the pass
   walks exactly the affected root-to-leaf label paths, one layer batch at
-  a time.  The dense backend's persistent per-layer backpointer arrays make
-  re-labeling an untouched cluster a pure replay.
+  a time, through the same driver as the full solve
+  (:meth:`~repro.dp.engine.DPEngine.label_clusters`).  The boundary
+  dependents come from the plan's :class:`~repro.dp.kernels.plan.SeedIndex`.
+  Inside each relabeled cluster the dense kernels replay only the elements
+  whose backpointers were re-solved, whose boundary state moved, or whose
+  parent's replayed state moved; every other element keeps the state its
+  last replay stored.
+* **Label arrays.**  Each solver keeps its labels in one array over the
+  plan's node index (:mod:`repro.dp.kernels.labels`): state ids for dense
+  problems.  An update batch compares and writes only its relabeled
+  clusters' edges; a result view freezes a copy of the array behind
+  read-only mappings, with no per-label Python work.
 * **Accounting.**  Rounds and routed words of the partial passes are
   charged under the separate ``"dp-update"`` label
   (:data:`~repro.dp.engine.DP_UPDATE_LABEL`), so benchmarks can compare an
@@ -64,7 +74,6 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import InitVar, dataclass, field
-from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -82,7 +91,8 @@ from typing import (
 import numpy as np
 
 from repro.core.pipeline import PipelineResult, PreparedTree, as_cluster_dp
-from repro.dp.engine import DP_UPDATE_LABEL, ROUNDS_PER_LAYER, SolveResult
+from repro.dp.engine import DP_UPDATE_LABEL, SolveResult
+from repro.dp.kernels.labels import EdgeLabels, NodeLabels, label_views, summaries_equal
 from repro.dp.kernels.plan import ElementAt, SeedIndex
 from repro.mpc.simulator import RoundStats
 from repro.obs import DEFAULT_SIZE_BUCKETS, clock
@@ -104,7 +114,7 @@ class ConcurrentUpdateError(RuntimeError):
     """A second update batch entered while a pass was mid-flight.
 
     The solver's partial passes mutate the pending-dirty set, the summary
-    dict and the label dicts in place; two interleaved ``apply_updates``
+    dict and the label array in place; two interleaved ``apply_updates``
     calls would corrupt them silently.  The solver therefore refuses
     overlapping entry outright instead of blocking — serialization is the
     caller's job (the serving layer funnels all batches through a single
@@ -206,11 +216,11 @@ class _OnFirstRead:
 class SolvedView:
     """An immutable snapshot of one solved problem at a batch boundary.
 
-    Label mappings are wrapped in read-only proxies over dicts that are
-    never mutated again, so a view handed to a concurrent reader (the
-    serving layer's snapshot store) stays bit-stable while the solver
-    applies further batches.  Labels are projected back to *original*
-    (pre-degree-reduction) edges, exactly like
+    The label mappings are read-only views of a frozen copy of the solver's
+    label array (:mod:`repro.dp.kernels.labels`), so a view handed to a
+    concurrent reader (the serving layer's snapshot store) stays bit-stable
+    while the solver applies further batches.  Labels are projected back to
+    *original* (pre-degree-reduction) edges, exactly like
     :meth:`IncrementalSolver.as_pipeline_result`.
 
     :attr:`output` (the problem's post-processing of the labels: the
@@ -240,33 +250,6 @@ class SolvedView:
     def output(self) -> Any:
         """The problem's output at this view's version, built on first read."""
         return self._output.get()
-
-
-def summaries_equal(a: Any, b: Any) -> bool:
-    """Structural bit-equality of two cluster summaries.
-
-    Used to prune the dirty chain: a re-solved cluster whose summary equals
-    the previous one cannot change its parent.  The comparison is
-    conservative — anything it cannot prove equal (unknown types without
-    ``__eq__``) counts as changed, which costs extra re-solves but never
-    correctness.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        if a.keys() != b.keys():
-            return False
-        return all(summaries_equal(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray):
-        return a.shape == b.shape and a.dtype == b.dtype and bool(np.array_equal(a, b))
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(summaries_equal(x, y) for x, y in zip(a, b))
-    try:
-        return bool(a == b)
-    except Exception:
-        return False
 
 
 class IncrementalSolver:
@@ -340,9 +323,9 @@ class IncrementalSolver:
         self.engine = prepared.engine()
         # The full solves run inline even under exec_backend="process": the
         # update path re-reads this solver's driver-side memos (backpointer
-        # arrays, rule-tensor caches), which a worker-side solve would not
-        # populate.
-        self.engine.exec_enabled = False
+        # arrays, replayed states, rule-tensor caches), which a worker-side
+        # solve would not populate.  The role also keys its kernel gauges.
+        self.engine.role = "incremental"
         self.obs = prepared.sim.obs
         self.hc = prepared.clustering
         self.full_resolve_threshold = full_resolve_threshold
@@ -385,8 +368,11 @@ class IncrementalSolver:
         self.summaries: Dict[int, Any] = res.summaries
         self.value = res.value
         self.root_label = res.root_label
-        self.edge_labels: Dict[Tuple[Hashable, Hashable], Any] = res.edge_labels
-        self.node_labels: Dict[Hashable, Any] = res.node_labels
+        #: The label array (None: the problem produces no labels); the
+        #: solve's frozen one, copied once so update batches can write it.
+        self._labels: Optional[np.ndarray] = (
+            res.node_labels.array.copy() if self.solver.produces_labels else None
+        )
         self.layers = res.layers
 
     def refresh(self) -> UpdateReport:
@@ -616,7 +602,6 @@ class IncrementalSolver:
 
     def _partial_top_down(self, resolved: Set[int], report: UpdateReport) -> None:
         hc = self.hc
-        sim = self.prepared.sim
         final_cid = hc.final_cluster_id
 
         if final_cid in resolved:
@@ -629,46 +614,27 @@ class IncrementalSolver:
             self.value = new_value
             self.root_label = new_root_label
 
-        if not self.solver.produces_labels:
+        labels = self._labels
+        if labels is None:
             return
         if report.root_label_changed:
-            self.node_labels[hc.tree.root] = self.root_label
-
-        deps = hc.boundary_dependents()
+            self.engine.write_root_label(self.solver, labels, self.root_label)
         relabel: Dict[int, Set[int]] = {}
         for cid in resolved:
             relabel.setdefault(hc.clusters[cid].layer, set()).add(cid)
-
-        for layer in range(hc.num_layers, 0, -1):
-            cids = relabel.pop(layer, None)
-            if not cids:
-                continue
-            batch = self.engine.layer_batch(layer, cids, self.summaries)
-            outs, ins = self.engine.boundary_labels(batch, self.edge_labels, self.root_label)
-            labels, words = self.solver.label_layer(batch, outs, ins)
-            report.clusters_relabeled += len(batch)
-            for edge, lab in zip(batch.edges, labels):
-                if summaries_equal(self.edge_labels[edge], lab):
-                    continue
-                self.edge_labels[edge] = lab
-                self.node_labels[edge[0]] = lab
-                report.edges_relabeled += 1
-                # Boundary dependents sit at strictly lower layers, so the
-                # descending sweep picks them up later this pass.
-                for dep in deps.get(edge, ()):
-                    relabel.setdefault(hc.clusters[dep].layer, set()).add(dep)
-            sim.charge_rounds(ROUNDS_PER_LAYER, label=DP_UPDATE_LABEL)
-            sim.charge_words(words, label=DP_UPDATE_LABEL)
-            report.layers_relabeled += 1
+        done = self.engine.label_clusters(
+            self.solver, self.summaries, labels, relabel, label=DP_UPDATE_LABEL, track=True
+        )
+        report.clusters_relabeled = done.clusters
+        report.edges_relabeled = done.edges
+        report.layers_relabeled = done.layers
 
     # ------------------------------------------------------------------ #
     # Result views
     # ------------------------------------------------------------------ #
 
-    def _label_snapshots(
-        self,
-    ) -> Tuple[Dict[Tuple[Hashable, Hashable], Any], Dict[Hashable, Any]]:
-        """Copies of the label dicts (of the degree-reduced tree).
+    def _label_views(self) -> Tuple[EdgeLabels, NodeLabels]:
+        """Views of a frozen copy of the label array (of the degree-reduced tree).
 
         The one stale-state check behind every result view.
         """
@@ -678,16 +644,17 @@ class IncrementalSolver:
                 "failed after writing payloads.  Repair the offending payload "
                 "and re-apply, or call refresh()."
             )
-        return dict(self.edge_labels), dict(self.node_labels)
+        reduced = self.engine.plan().label_keys()[0]
+        return label_views(self._labels, self.solver.label_format(), reduced, copy=True)
 
     def solve_result(self) -> SolveResult:
         """The current solved state as a :class:`~repro.dp.engine.SolveResult`.
 
-        The label dicts are *snapshots*: results stay valid after further
-        updates, and caller-side mutation cannot corrupt the solver.
-        Raises when a failed update batch left the state stale.
+        The label mappings are read-only *snapshots*: results stay valid
+        after further updates.  Raises when a failed update batch left the
+        state stale.
         """
-        edge_labels, node_labels = self._label_snapshots()
+        edge_labels, node_labels = self._label_views()
         return SolveResult(
             value=self.value,
             root_label=self.root_label,
@@ -703,7 +670,8 @@ class IncrementalSolver:
         """The current solved state, shaped exactly like ``solve()``'s result.
 
         Labels of the degree-reduced tree are projected back to original
-        edges by the same :meth:`~repro.clustering.degree_reduction.DegreeReductionResult.project`
+        edges through the same index maps
+        (:meth:`~repro.dp.kernels.plan.ClusteringPlan.label_keys`)
         :func:`~repro.core.pipeline.solve_on` uses, so a result obtained
         through any number of updates compares field by field against a
         from-scratch solve of the updated tree.  ``rounds["dp-update"]`` is
@@ -712,9 +680,8 @@ class IncrementalSolver:
         """
         prepared = self.prepared
         res = self.solve_result()
-        edge_labels, node_labels = prepared.reduction.project(
-            res.edge_labels, res.node_labels, res.root_label
-        )
+        original = self.engine.plan().label_keys()[1]
+        edge_labels, node_labels = res.edge_labels.over(original), res.node_labels.over(original)
         rounds = {
             "normalization": prepared.normalization_stats.total_rounds,
             "clustering": prepared.clustering_stats.total_rounds,
@@ -735,20 +702,20 @@ class IncrementalSolver:
     def view(self) -> SolvedView:
         """The current solved state as an immutable :class:`SolvedView`.
 
-        The cheap snapshot primitive of the serving layer: label dicts are
-        copied once and frozen behind read-only proxies, so the view stays
-        bit-stable under later updates and cannot be used to corrupt the
-        solver.  Labels are projected to original edges like
-        :meth:`as_pipeline_result`.  Raises like :meth:`solve_result` when a
-        failed batch left the state stale.
+        The cheap snapshot primitive of the serving layer: the label array
+        is copied once (one array copy, no per-label work) and frozen behind
+        read-only mappings, so the view stays bit-stable under later updates
+        and cannot be used to corrupt the solver.  Labels are projected to
+        original edges like :meth:`as_pipeline_result`.  Raises like
+        :meth:`solve_result` when a failed batch left the state stale.
 
         ``output`` is not extracted here but on its first read (see
-        :class:`SolvedView`), from this version's un-projected label copy,
+        :class:`SolvedView`), from this version's un-projected label view,
         root label, value and the deployment's payload snapshot
         (:meth:`~repro.core.pipeline.PreparedTree.payload_snapshot`, one per
         batch, shared by every solver on the prepared tree).
         """
-        edge_labels, node_labels = self._label_snapshots()
+        edge_labels, node_labels = self._label_views()
         build_output = functools.partial(
             self.solver.extract,
             self.prepared.payload_snapshot(),
@@ -756,15 +723,13 @@ class IncrementalSolver:
             self.root_label,
             self.value,
         )
-        edge_labels, node_labels = self.prepared.reduction.project(
-            edge_labels, node_labels, self.root_label
-        )
+        original = self.engine.plan().label_keys()[1]
         return SolvedView(
             problem=str(getattr(self.problem, "name", type(self.problem).__name__)),
             value=self.value,
             root_label=self.root_label,
-            node_labels=MappingProxyType(node_labels),
-            edge_labels=MappingProxyType(edge_labels),
+            node_labels=node_labels.over(original),
+            edge_labels=edge_labels.over(original),
             updates_applied=self.updates_applied,
             build_output=build_output,
         )

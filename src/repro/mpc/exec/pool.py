@@ -982,28 +982,29 @@ class ProcessDPSession:
         return result
 
     def label_layer(
-        self, batch: Any, out_labels: Sequence[Any], in_labels: Sequence[Any]
-    ) -> Tuple[List[Any], int]:
-        """Labels of one layer batch's internal edges (``batch.edges`` order).
+        self, batch: Any, out_labels: np.ndarray, in_labels: np.ndarray
+    ) -> Tuple[Any, int]:
+        """Labels of one layer batch's internal edges (``batch.edge_index`` order).
 
-        Each cluster is labelled on its owning worker.  Summary deltas ride
-        along exactly like the solve phase's, so a worker respawned after
-        the bottom-up pass can re-solve the backpointers it lost.
+        Each cluster is labelled on its owning worker.  Labels travel in the
+        solver's label-array form both ways (state ids for dense solvers).
+        Summary deltas ride along exactly like the solve phase's, so a worker
+        respawned after the bottom-up pass can re-solve the backpointers it
+        lost.
         """
         if self._degraded:
-            out: Tuple[List[Any], int] = self.solver.label_layer(batch, out_labels, in_labels)
+            out: Tuple[Any, int] = self.solver.label_layer(batch, out_labels, in_labels)
             return out
+        fmt = self.solver.label_format()
         obs = self.obs
         layer = batch.layer.layer
-        row_pos = {int(r): i for i, r in enumerate(batch.rows.tolist())}
 
-        def _attempt() -> Tuple[List[Any], int]:
+        def _attempt() -> Tuple[np.ndarray, int]:
             parts = self._slot_batches(batch)
 
             def make(slot: int, sub: Any) -> Tuple[str, Any]:
-                pos = [row_pos[r] for r in sub.rows.tolist()]
-                outs = [out_labels[i] for i in pos]
-                ins = [in_labels[i] for i in pos]
+                pos = np.searchsorted(batch.rows, sub.rows)
+                outs, ins = out_labels[pos], in_labels[pos]
                 extra = self._summary_extras(slot, sub)
                 return ("dp_labels", (self.skey, layer, sub.rows, outs, ins, extra, sub.sizer))
 
@@ -1012,23 +1013,22 @@ class ProcessDPSession:
                 replies = self.backend._call_each(messages, obs=obs)
             # Reassemble the slots' labels in the batch's edge order.
             placed = [batch.edge_positions(sub) for _slot, sub in parts]
-            labels: List[Any] = [None] * sum(len(at) for at in placed)
+            labels = fmt.empty(sum(len(at) for at in placed))
             words = 0
             for at, (slot_labels, w) in zip(placed, replies):
-                for i, lab in zip(at.tolist(), slot_labels):
-                    labels[i] = lab
+                labels[at] = fmt.pack(slot_labels)
                 words += w
             return labels, words
 
         t0 = clock.now() if obs.enabled else 0.0
         try:
-            result: Tuple[List[Any], int] = self.backend.supervised(
+            result: Tuple[np.ndarray, int] = self.backend.supervised(
                 f"dp_labels:{self.skey}", _attempt, self._reestablish
             )
         except ExecBackendError as exc:
             self._degrade(f"dp_labels:{self.skey}", exc)
-            result = self.solver.label_layer(batch, out_labels, in_labels)
-            return result
+            out = self.solver.label_layer(batch, out_labels, in_labels)
+            return out
         if obs.enabled:
             obs.metrics.histogram("repro_exec_call_seconds", cmd="dp_labels").observe(
                 clock.now() - t0

@@ -11,7 +11,7 @@ Architecture (one server = one prepared tree + N problems):
   then builds the batch's immutable :class:`~repro.dynamic.SolvedView`
   snapshots.  The group writes the batch's payloads and computes its dirty
   seed set once for all problems.  A snapshot build copies each problem's
-  label dicts and, once per batch for all problems, the tree's payload
+  label array and, once per batch for all problems, the tree's payload
   dicts; it does not extract the problems' outputs (see the read path).
   Both the dirty-chain re-solve and the snapshot build run off the event
   loop, so reads never wait for them; back on the loop the writer only

@@ -13,6 +13,7 @@ from repro.clustering.builder import build_hierarchical_clustering
 from repro.clustering.degree_reduction import EdgeKind, reduce_degrees
 from repro.clustering.invariants import check_clustering, cluster_vertex_sets
 from repro.clustering.model import ClusterKind
+from repro.dp.kernels.plan import clustering_plan
 from repro.trees import generators as gen
 from repro.trees.properties import diameter, max_degree
 from repro.trees.tree import RootedTree
@@ -59,11 +60,17 @@ class TestDegreeReduction:
             assert red.original_parent[v] == 0
 
     def test_project_labels_restores_original_edges(self):
+        """The plan's original-tree label keys drop the auxiliary nodes and
+        key every edge by its original parent."""
         t = gen.star_tree(40)
+        sim = make_sim(40)
         red = reduce_degrees(t, threshold=5)
-        labels = {(c, p): f"lab-{c}" for c, p in red.tree.edges()}
-        projected = red.project_labels(labels)
-        assert set(projected) == set(t.edges())
+        hc = build_hierarchical_clustering(sim, red.tree)
+        reduced, original = clustering_plan(hc, red).label_keys()
+        assert not red.is_identity and reduced is not original
+        assert set(original.edges()[0]) == set(t.edges())
+        assert set(original.nodes) == set(t.nodes())
+        assert set(reduced.edges()[0]) == set(red.tree.edges())
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -695,10 +695,15 @@ def test_results_are_snapshots_not_live_views():
     before = dict(r1.edge_labels)
     inc.apply_updates([node_update(tree.nodes()[2], 999.0)])
     assert r1.edge_labels == before  # earlier result did not mutate
-    # Caller-side mutation cannot corrupt the solver either.
+    # Caller-side mutation cannot corrupt the solver either: the label
+    # mappings are read-only views of a frozen array.
     r2 = inc.as_pipeline_result()
-    r2.edge_labels.clear()
-    r2.node_labels.clear()
+    with pytest.raises(TypeError):
+        r2.edge_labels[next(iter(r2.edge_labels))] = "x"
+    with pytest.raises(AttributeError):
+        r2.node_labels.clear()
+    with pytest.raises(ValueError):
+        r2.node_labels.array[0] = 1
     ref = solve(tree, MaxWeightIndependentSet())
     assert inc.as_pipeline_result().edge_labels == ref.edge_labels
 

@@ -187,28 +187,54 @@ def test_serving_batches_reuse_the_plan():
 
 
 def test_shipped_clustering_leaves_out_the_update_indices():
-    """The update path's indices stay on the driver: building the
-    clustering's boundary dependents and the plan's seed index does not
-    change what the pool pickles, and an unpickled copy rebuilds them to
-    the same answers."""
+    """The driver's indices stay on the driver: building the plan's seed
+    index (its boundary CSR included) and label keys does not change what
+    the pool pickles, and an unpickled copy rebuilds them to the same
+    answers."""
     tree = _weighted(n=400, seed=6)
     prepared = prepare(tree)
     solve_on(prepared, MaxWeightIndependentSet())
     hc = prepared.clustering
     before = pickle.dumps(hc)
-    deps = hc.boundary_dependents()
     seeds = hc._dp_plan.seed_index()
+    hc._dp_plan.label_keys()
     after = pickle.dumps(hc)
     assert after == before
     shipped = pickle.loads(after)
     assert shipped._dp_plan._seed_index is None
-    assert shipped.boundary_dependents() == deps
+    assert shipped._dp_plan._label_keys is None
     rebuilt = shipped._dp_plan.seed_index()
-    for name in ("node_at", "absorbed_at", "parent_cluster", "edge_ptr", "edge_at"):
+    names = ("node_at", "absorbed_at", "parent_cluster", "edge_ptr", "edge_at")
+    for name in names + ("bound_ptr", "bound_at"):
         assert np.array_equal(getattr(rebuilt, name), getattr(seeds, name)), name
     assert len(rebuilt.parent) == len(seeds.parent)
     for got, want in zip(rebuilt.parent[1:], seeds.parent[1:]):
         assert np.array_equal(got, want)
+
+
+def test_boundary_csr_lists_every_cluster_reading_an_edge():
+    """``SeedIndex.dependents`` of an edge: exactly the clusters having it as
+    out-edge or in-edge, the final cluster's virtual out-edge left out."""
+    prepared = prepare(_weighted(n=500, seed=3))
+    solve_on(prepared, MaxWeightIndependentSet())
+    hc = prepared.clustering
+    plan = hc._dp_plan
+    index = plan.seed_index()
+    want = {}
+    for cid, c in hc.clusters.items():
+        if cid != hc.final_cluster_id:
+            want.setdefault(plan.node_index[c.out_edge[0]], set()).add((c.layer, cid))
+        if c.in_edge is not None:
+            want.setdefault(plan.node_index[c.in_edge[0]], set()).add((c.layer, cid))
+    edges = np.arange(len(plan.node_ids))
+    got = {}
+    for i in edges.tolist():
+        deps = index.dependents(np.array([i])).tolist()
+        assert len(deps) == len(set(map(tuple, deps)))
+        if deps:
+            got[i] = set(map(tuple, deps))
+    assert got == want
+    assert len(index.dependents(edges)) == sum(map(len, want.values()))
 
 
 def test_pool_workers_reuse_the_shipped_plan():

@@ -309,6 +309,31 @@ def test_golden_nested_trace_stable_across_backends():
 # --------------------------------------------------------------------------- #
 
 
+def test_kernel_gauges_keep_one_series_per_role():
+    """A from-scratch solve's kernel and an IncrementalSolver's kernel of the
+    same problem export separate ``repro_kernel_cache`` series on one obs
+    context, keyed by role; the incremental one includes its initial solve."""
+    from repro.dynamic import node_update
+
+    # Inline, so the from-scratch solve's kernel is the driver's.
+    prepared = _prepared(300, obs="metrics", exec_backend="inline")
+    inc = prepared.incremental(MaxWeightIndependentSet())
+    v = prepared.original_tree.nodes()[5]
+    inc.apply_updates([node_update(v, 1e6)])
+    solve_on(prepared, MaxWeightIndependentSet())
+    by_role = {}
+    for g in prepared.metrics("json")["gauges"]:
+        if g["name"] == "repro_kernel_cache":
+            by_role.setdefault(g["labels"]["role"], {})[g["labels"]["stat"]] = g["value"]
+    assert set(by_role) == {"solve", "incremental"}
+    solve, incremental = by_role["solve"], by_role["incremental"]
+    assert set(solve) == set(incremental)
+    for stat in ("top_down_elements", "top_down_calls", "bottom_up_elements"):
+        assert solve[stat] > 0, stat
+    assert incremental["bottom_up_elements"] > solve["bottom_up_elements"]
+    assert incremental["top_down_elements"] > solve["top_down_elements"]
+
+
 def test_round_timeline_sums_bit_identically_to_roundstats():
     prepared, _res = _traced_solve(1000, "process")
     sim = prepared.sim
